@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/soa_kernel.hpp"
@@ -17,20 +18,12 @@ namespace {
 
 std::atomic<std::size_t> g_default_threads{0};  // 0 = not set yet
 
-// Process-wide throughput totals; relaxed atomics are enough because the
-// numbers are reporting-only and never gate control flow.
+// Process-wide throughput totals (see log_trial_run); relaxed atomics are
+// enough because the numbers are reporting-only and never gate control
+// flow.
 std::atomic<std::size_t> g_total_runs{0};
 std::atomic<std::size_t> g_total_trials{0};
 std::atomic<double> g_total_busy_seconds{0.0};
-
-void record_run(std::size_t trials, double seconds) noexcept {
-  g_total_runs.fetch_add(1, std::memory_order_relaxed);
-  g_total_trials.fetch_add(trials, std::memory_order_relaxed);
-  double seen = g_total_busy_seconds.load(std::memory_order_relaxed);
-  while (!g_total_busy_seconds.compare_exchange_weak(
-      seen, seen + seconds, std::memory_order_relaxed)) {
-  }
-}
 
 // Per-run log for the bench JSON artifacts; run_*_trials may be invoked
 // from several threads, so the vector is mutex-guarded.
@@ -40,14 +33,9 @@ std::vector<TrialRunRecord>& run_log() {
   return log;
 }
 
-void append_run_record(TrialRunRecord record) {
-  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
-  run_log().push_back(record);
-}
-
 /// Builds the log entry shared by both runners from the aggregate stats.
-template <typename Stats>
-[[nodiscard]] TrialRunRecord make_run_record(const Stats& stats, bool async,
+[[nodiscard]] TrialRunRecord make_run_record(const TrialStatsCommon& stats,
+                                             bool async,
                                              const util::Samples& completion) {
   TrialRunRecord record;
   record.async = async;
@@ -106,22 +94,6 @@ template <typename Stats>
 }
 
 using Clock = std::chrono::steady_clock;
-
-[[nodiscard]] double seconds_since(Clock::time_point start) {
-  return std::chrono::duration<double>(Clock::now() - start).count();
-}
-
-/// Chains a per-trial encounter tracker in front of whatever on_reception
-/// hook the config already carries. The tracker must outlive the run.
-void attach_tracker(sim::SlotEngineConfig& cfg,
-                    sim::EncounterTracker& tracker) {
-  cfg.on_reception = [&tracker, inner = std::move(cfg.on_reception)](
-                         std::uint64_t slot, net::NodeId sender,
-                         net::NodeId receiver, net::ChannelId channel) {
-    tracker.on_reception(slot, sender, receiver);
-    if (inner) inner(slot, sender, receiver, channel);
-  };
-}
 
 /// Effective worker count: resolve the 0 default, never more workers than
 /// trials, never fewer than one.
@@ -224,22 +196,77 @@ TrialRunRecord make_sync_run_record(const SyncTrialStats& stats) {
 }
 
 void log_trial_run(const TrialRunRecord& record) {
-  record_run(record.trials, record.elapsed_seconds);
-  append_run_record(record);
+  g_total_runs.fetch_add(1, std::memory_order_relaxed);
+  g_total_trials.fetch_add(record.trials, std::memory_order_relaxed);
+  double seen = g_total_busy_seconds.load(std::memory_order_relaxed);
+  while (!g_total_busy_seconds.compare_exchange_weak(
+      seen, seen + record.elapsed_seconds, std::memory_order_relaxed)) {
+  }
+  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
+  run_log().push_back(record);
 }
 
-SyncTrialStats run_sync_trials(const net::Network& network,
-                               const sim::SyncPolicyFactory& factory,
-                               const SyncTrialConfig& config) {
-  const auto start = Clock::now();
+namespace {
+
+/// One trial's result, reduced to what the aggregate keeps.
+struct Outcome {
+  bool complete = false;
+  /// Completion slot (slotted) or completion time after T_s (async).
+  double completion = 0.0;
+  /// Async only: max over nodes of full frames since T_s.
+  double max_frames = 0.0;
+  sim::RobustnessReport robustness;
+  /// Set only when the trial tracked contacts, with its radio energy.
+  std::optional<sim::EncounterReport> encounters;
+  double energy = 0.0;
+};
+
+/// Runs one slotted trial, tracking contacts when `encounters` is set.
+template <typename Run>
+[[nodiscard]] Outcome run_slotted_trial(sim::SlotEngineConfig& engine,
+                                        const sim::EncounterIndex* encounters,
+                                        const Run& run) {
+  // The tracker is chained in front of any on_reception hook the config
+  // already carries.
+  std::optional<sim::EncounterTracker> tracker;
+  if (encounters != nullptr) {
+    tracker.emplace(*encounters);
+    engine.on_reception = [&tracker, inner = std::move(engine.on_reception)](
+                              std::uint64_t slot, net::NodeId sender,
+                              net::NodeId receiver, net::ChannelId channel) {
+      tracker->on_reception(slot, sender, receiver);
+      if (inner) inner(slot, sender, receiver, channel);
+    };
+  }
+  const auto result = run(engine);
+  Outcome outcome;
+  outcome.complete = result.complete;
+  outcome.completion = static_cast<double>(result.completion_slot);
+  outcome.robustness = result.robustness;
+  if (tracker.has_value()) {
+    outcome.encounters = tracker->report();
+    outcome.energy = sim::total_activity(result.activity).energy();
+  }
+  return outcome;
+}
+
+/// The one trial runner: per-trial engine configs prepared serially in
+/// trial order (trial t seeded derive(seed, t), then the per_trial hook),
+/// `run_one(engine config)` fanned out with each outcome landing in slot
+/// t, then a fold in trial order and the run record. Parallel output is
+/// therefore identical to serial output.
+template <typename Stats, typename Config, typename RunOne>
+[[nodiscard]] Stats run_trials(const Config& config, Clock::time_point start,
+                               const RunOne& run_one) {
+  constexpr bool kAsync = std::is_same_v<Stats, AsyncTrialStats>;
   const util::SeedSequence seeds(config.seed);
-  SyncTrialStats stats;
+  Stats stats;
   stats.trials = config.trials;
   stats.threads_used = resolve_threads(config.threads, config.trials);
 
-  // Engine configs are prepared serially in trial order so per_trial
-  // hooks keep their single-threaded contract.
-  std::vector<sim::SlotEngineConfig> engines;
+  // Prepared serially so per_trial hooks keep their single-threaded
+  // contract.
+  std::vector<decltype(config.engine)> engines;
   engines.reserve(config.trials);
   for (std::size_t t = 0; t < config.trials; ++t) {
     engines.push_back(config.engine);
@@ -247,49 +274,49 @@ SyncTrialStats run_sync_trials(const net::Network& network,
     if (config.per_trial) config.per_trial(t, engines.back());
   }
 
-  // Per-trial outcomes land in slot t; the reduction below walks them in
-  // trial order, so parallel output is identical to serial output.
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
-    sim::EncounterReport encounters;
-    double energy = 0.0;
-  };
   std::vector<Outcome> outcomes(config.trials);
   dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    std::optional<sim::EncounterTracker> tracker;
-    if (config.encounters != nullptr) {
-      tracker.emplace(*config.encounters);
-      attach_tracker(engines[t], *tracker);
-    }
-    const auto result = sim::run_slot_engine(network, factory, engines[t]);
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness,
-                   {},
-                   0.0};
-    if (tracker.has_value()) {
-      outcomes[t].encounters = tracker->report();
-      outcomes[t].energy = sim::total_activity(result.activity).energy();
-    }
+    outcomes[t] = run_one(engines[t]);
   });
 
-  stats.completion_slots.reserve(config.trials);
+  util::Samples* const completion = [&stats] {
+    if constexpr (kAsync) {
+      return &stats.completion_after_ts;
+    } else {
+      return &stats.completion_slots;
+    }
+  }();
+  completion->reserve(config.trials);
   for (const Outcome& outcome : outcomes) {
     fold_robustness(stats.robustness, outcome.robustness);
-    if (config.encounters != nullptr) {
-      fold_encounters(stats.encounters, outcome.encounters, outcome.energy);
+    if (outcome.encounters.has_value()) {
+      fold_encounters(stats.encounters, *outcome.encounters, outcome.energy);
     }
     if (!outcome.complete) continue;
     ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
+    completion->add(outcome.completion);
+    if constexpr (kAsync) stats.max_full_frames.add(outcome.max_frames);
   }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
+  stats.elapsed_seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  log_trial_run(make_run_record(stats, kAsync, *completion));
   return stats;
+}
+
+}  // namespace
+
+SyncTrialStats run_sync_trials(const net::Network& network,
+                               const sim::SyncPolicyFactory& factory,
+                               const SyncTrialConfig& config) {
+  return run_trials<SyncTrialStats>(
+      config, Clock::now(),
+      [&](sim::SlotEngineConfig& engine) {
+        return run_slotted_trial(engine, config.encounters,
+                                 [&](const sim::SlotEngineConfig& cfg) {
+                                   return sim::run_slot_engine(network,
+                                                               factory, cfg);
+                                 });
+      });
 }
 
 SyncTrialStats run_sync_trials(const net::Network& network,
@@ -298,188 +325,72 @@ SyncTrialStats run_sync_trials(const net::Network& network,
   if (config.kernel == SyncKernel::kEngine) {
     return run_sync_trials(network, core::make_policy_factory(spec), config);
   }
-
   const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  SyncTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::SlotEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
   const sim::SoaPolicyTable table = core::build_soa_policy_table(network, spec);
 
-  // One flattened kernel per worker, handed out through a free-list: a
-  // kernel's per-trial arrays are reused across runs but never shared
-  // between concurrent trials. Results depend only on the trial config,
-  // so which kernel object serves which trial is irrelevant.
-  std::vector<std::unique_ptr<sim::SoaSlotKernel>> idle_kernels;
+  // Flattened kernels handed out through a free-list, built on first need
+  // (so at most one per worker): a kernel's per-trial arrays are reused
+  // across runs but never shared between concurrent trials. Results depend
+  // only on the trial config, so which kernel serves which trial is
+  // irrelevant.
   std::mutex kernel_mutex;
-  const std::size_t kernel_count =
-      std::min(stats.threads_used, std::max<std::size_t>(config.trials, 1));
-  idle_kernels.reserve(kernel_count);
-  for (std::size_t k = 0; k < kernel_count; ++k) {
-    idle_kernels.push_back(std::make_unique<sim::SoaSlotKernel>(network));
-  }
-
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
-    sim::EncounterReport encounters;
-    double energy = 0.0;
-  };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    std::unique_ptr<sim::SoaSlotKernel> kernel;
-    {
-      const std::lock_guard<std::mutex> lock(kernel_mutex);
-      kernel = std::move(idle_kernels.back());
-      idle_kernels.pop_back();
-    }
-    std::optional<sim::EncounterTracker> tracker;
-    if (config.encounters != nullptr) {
-      tracker.emplace(*config.encounters);
-      attach_tracker(engines[t], *tracker);
-    }
-    const auto result = kernel->run(table, engines[t]);
-    {
-      const std::lock_guard<std::mutex> lock(kernel_mutex);
-      idle_kernels.push_back(std::move(kernel));
-    }
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness,
-                   {},
-                   0.0};
-    if (tracker.has_value()) {
-      outcomes[t].encounters = tracker->report();
-      outcomes[t].energy = sim::total_activity(result.activity).energy();
-    }
-  });
-
-  stats.completion_slots.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (config.encounters != nullptr) {
-      fold_encounters(stats.encounters, outcome.encounters, outcome.energy);
-    }
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
-  return stats;
+  std::vector<std::unique_ptr<sim::SoaSlotKernel>> idle_kernels;
+  return run_trials<SyncTrialStats>(
+      config, start, [&](sim::SlotEngineConfig& engine) {
+        std::unique_ptr<sim::SoaSlotKernel> kernel;
+        {
+          const std::lock_guard<std::mutex> lock(kernel_mutex);
+          if (!idle_kernels.empty()) {
+            kernel = std::move(idle_kernels.back());
+            idle_kernels.pop_back();
+          }
+        }
+        if (kernel == nullptr) {
+          kernel = std::make_unique<sim::SoaSlotKernel>(network);
+        }
+        Outcome outcome = run_slotted_trial(
+            engine, config.encounters,
+            [&](const sim::SlotEngineConfig& cfg) {
+              return kernel->run(table, cfg);
+            });
+        const std::lock_guard<std::mutex> lock(kernel_mutex);
+        idle_kernels.push_back(std::move(kernel));
+        return outcome;
+      });
 }
 
 AsyncTrialStats run_async_trials(const net::Network& network,
                                  const sim::AsyncPolicyFactory& factory,
                                  const AsyncTrialConfig& config) {
-  const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  AsyncTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::AsyncEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
-  struct Outcome {
-    bool complete = false;
-    double after_ts = 0.0;
-    double max_frames = 0.0;
-    sim::RobustnessReport robustness;
-  };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    const auto result = sim::run_async_engine(network, factory, engines[t]);
-    Outcome outcome;
-    outcome.complete = result.complete;
-    outcome.robustness = result.robustness;
-    if (result.complete) {
-      outcome.after_ts = result.completion_time - result.t_s;
-      std::uint64_t max_frames = 0;
-      for (const std::uint64_t f : result.full_frames_since_ts) {
-        max_frames = std::max(max_frames, f);
-      }
-      outcome.max_frames = static_cast<double>(max_frames);
-    }
-    outcomes[t] = outcome;
-  });
-
-  stats.completion_after_ts.reserve(config.trials);
-  stats.max_full_frames.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_after_ts.add(outcome.after_ts);
-    stats.max_full_frames.add(outcome.max_frames);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/true, stats.completion_after_ts));
-  return stats;
+  return run_trials<AsyncTrialStats>(
+      config, Clock::now(), [&](const sim::AsyncEngineConfig& engine) {
+        const auto result = sim::run_async_engine(network, factory, engine);
+        Outcome outcome;
+        outcome.complete = result.complete;
+        outcome.robustness = result.robustness;
+        if (result.complete) {
+          outcome.completion = result.completion_time - result.t_s;
+          std::uint64_t max_frames = 0;
+          for (const std::uint64_t f : result.full_frames_since_ts) {
+            max_frames = std::max(max_frames, f);
+          }
+          outcome.max_frames = static_cast<double>(max_frames);
+        }
+        return outcome;
+      });
 }
 
 MultiRadioTrialStats run_multi_radio_trials(
     const net::Network& network, const sim::MultiRadioPolicyFactory& factory,
     const MultiRadioTrialConfig& config) {
-  const auto start = Clock::now();
-  const util::SeedSequence seeds(config.seed);
-  MultiRadioTrialStats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
-
-  std::vector<sim::MultiRadioEngineConfig> engines;
-  engines.reserve(config.trials);
-  for (std::size_t t = 0; t < config.trials; ++t) {
-    engines.push_back(config.engine);
-    engines.back().seed = seeds.derive(t);
-    if (config.per_trial) config.per_trial(t, engines.back());
-  }
-
-  struct Outcome {
-    bool complete = false;
-    double completion_slot = 0.0;
-    sim::RobustnessReport robustness;
-  };
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
-    const auto result =
-        sim::run_multi_radio_engine(network, factory, engines[t]);
-    outcomes[t] = {result.complete,
-                   static_cast<double>(result.completion_slot),
-                   result.robustness};
-  });
-
-  stats.completion_slots.reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    stats.completion_slots.add(outcome.completion_slot);
-  }
-  stats.elapsed_seconds = seconds_since(start);
-  record_run(stats.trials, stats.elapsed_seconds);
-  append_run_record(
-      make_run_record(stats, /*async=*/false, stats.completion_slots));
-  return stats;
+  return run_trials<MultiRadioTrialStats>(
+      config, Clock::now(), [&](sim::MultiRadioEngineConfig& engine) {
+        return run_slotted_trial(engine, nullptr,
+                                 [&](const sim::MultiRadioEngineConfig& cfg) {
+                                   return sim::run_multi_radio_engine(
+                                       network, factory, cfg);
+                                 });
+      });
 }
 
 }  // namespace m2hew::runner

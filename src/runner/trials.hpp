@@ -171,16 +171,14 @@ struct TrialRunRecord {
 /// Snapshot of every trial run executed by this process so far.
 [[nodiscard]] std::vector<TrialRunRecord> trial_run_log();
 
-/// Aggregate over synchronous trials.
-struct SyncTrialStats {
+/// What every trial aggregate carries, whatever the engine.
+struct TrialStatsCommon {
   std::size_t trials = 0;
-  std::size_t completed = 0;  ///< trials finishing within the slot budget
-  /// Completion slot (0-based index of the covering slot) of completed
-  /// trials only.
-  util::Samples completion_slots;
+  std::size_t completed = 0;  ///< trials finishing within the budget
   /// Robustness aggregates from faulted trials (empty without a plan).
   RobustnessStats robustness;
-  /// Encounter aggregates (empty unless SyncTrialConfig::encounters set).
+  /// Encounter aggregates (empty unless SyncTrialConfig::encounters set;
+  /// contact tracking is slotted-only).
   EncounterStats encounters;
   /// Wall-clock duration of the whole run and the worker count that
   /// produced it (throughput reporting; not part of the deterministic
@@ -200,6 +198,30 @@ struct SyncTrialStats {
   }
 };
 
+/// Aggregate over synchronous trials.
+struct SyncTrialStats : TrialStatsCommon {
+  /// Completion slot (0-based index of the covering slot) of completed
+  /// trials only.
+  util::Samples completion_slots;
+};
+
+/// The knobs every trial runner shares, over its engine's config type.
+template <typename Engine>
+struct TrialConfig {
+  std::size_t trials = 30;
+  std::uint64_t seed = 1;  ///< root seed; trial t uses derive(seed, t)
+  Engine engine;           ///< engine.seed is overwritten per trial
+  /// Optional per-trial hook to vary the engine config (e.g. randomized
+  /// start slots). Called with (trial index, config to mutate). Hooks run
+  /// serially on the calling thread, in trial order, before any trial
+  /// executes — they need not be thread-safe.
+  std::function<void(std::size_t, Engine&)> per_trial;
+  /// Worker threads for the trial fan-out: 1 = serial on the calling
+  /// thread, 0 = default_trial_threads(). Aggregate results are identical
+  /// for every value.
+  std::size_t threads = 0;
+};
+
 /// Which synchronous inner loop executes each trial. Both produce
 /// bit-identical aggregates (the SoA==engine equivalence suite pins the
 /// per-trial results); kSoa is the large-N path.
@@ -208,19 +230,7 @@ enum class SyncKernel {
   kSoa,     ///< sim::SoaSlotKernel: flat arrays, CSR coverage
 };
 
-struct SyncTrialConfig {
-  std::size_t trials = 30;
-  std::uint64_t seed = 1;  ///< root seed; trial t uses derive(seed, t)
-  sim::SlotEngineConfig engine;  ///< engine.seed is overwritten per trial
-  /// Optional per-trial hook to vary the engine config (e.g. randomized
-  /// start slots). Called with (trial index, config to mutate). Hooks run
-  /// serially on the calling thread, in trial order, before any trial
-  /// executes — they need not be thread-safe.
-  std::function<void(std::size_t, sim::SlotEngineConfig&)> per_trial;
-  /// Worker threads for the trial fan-out: 1 = serial on the calling
-  /// thread, 0 = default_trial_threads(). Aggregate results are identical
-  /// for every value.
-  std::size_t threads = 0;
+struct SyncTrialConfig : TrialConfig<sim::SlotEngineConfig> {
   /// Inner loop selection; honored only by the SyncPolicySpec overload
   /// (the factory overload has no data representation to hand the SoA
   /// kernel and always runs the classic engine).
@@ -244,44 +254,15 @@ struct SyncTrialConfig {
                                              const SyncTrialConfig& config);
 
 /// Aggregate over asynchronous trials.
-struct AsyncTrialStats {
-  std::size_t trials = 0;
-  std::size_t completed = 0;
+struct AsyncTrialStats : TrialStatsCommon {
   /// Real completion time minus T_s, completed trials only.
   util::Samples completion_after_ts;
   /// max over nodes of full frames since T_s at completion (Theorem 9's
   /// measured quantity), completed trials only.
   util::Samples max_full_frames;
-  /// Robustness aggregates from faulted trials (empty without a plan).
-  RobustnessStats robustness;
-  /// Always empty today (contact tracking is slotted-only); present so the
-  /// shared run-record reduction treats both stats types uniformly.
-  EncounterStats encounters;
-  /// Throughput fields; see SyncTrialStats.
-  double elapsed_seconds = 0.0;
-  std::size_t threads_used = 1;
-
-  [[nodiscard]] double success_rate() const noexcept {
-    return trials == 0 ? 0.0
-                       : static_cast<double>(completed) /
-                             static_cast<double>(trials);
-  }
-  [[nodiscard]] double trials_per_second() const noexcept {
-    return elapsed_seconds <= 0.0
-               ? 0.0
-               : static_cast<double>(trials) / elapsed_seconds;
-  }
 };
 
-struct AsyncTrialConfig {
-  std::size_t trials = 30;
-  std::uint64_t seed = 1;
-  sim::AsyncEngineConfig engine;
-  /// Serial, trial-ordered hook; see SyncTrialConfig::per_trial.
-  std::function<void(std::size_t, sim::AsyncEngineConfig&)> per_trial;
-  /// Worker threads; see SyncTrialConfig::threads.
-  std::size_t threads = 0;
-};
+using AsyncTrialConfig = TrialConfig<sim::AsyncEngineConfig>;
 
 [[nodiscard]] AsyncTrialStats run_async_trials(
     const net::Network& network, const sim::AsyncPolicyFactory& factory,
@@ -291,15 +272,7 @@ struct AsyncTrialConfig {
 /// (the engine is slotted), so the stats type is shared.
 using MultiRadioTrialStats = SyncTrialStats;
 
-struct MultiRadioTrialConfig {
-  std::size_t trials = 30;
-  std::uint64_t seed = 1;
-  sim::MultiRadioEngineConfig engine;
-  /// Serial, trial-ordered hook; see SyncTrialConfig::per_trial.
-  std::function<void(std::size_t, sim::MultiRadioEngineConfig&)> per_trial;
-  /// Worker threads; see SyncTrialConfig::threads.
-  std::size_t threads = 0;
-};
+using MultiRadioTrialConfig = TrialConfig<sim::MultiRadioEngineConfig>;
 
 [[nodiscard]] MultiRadioTrialStats run_multi_radio_trials(
     const net::Network& network, const sim::MultiRadioPolicyFactory& factory,

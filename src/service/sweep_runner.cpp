@@ -66,6 +66,23 @@ using Clock = std::chrono::steady_clock;
   return core::make_universal_baseline(spec.scenario.universe, 0.5);
 }
 
+/// The policy a factory-path sweep spec runs: the spec's algorithm wrapped
+/// in its duty cycle and trust gate. Duty cycling and trust wrap policy
+/// objects, so they ride the factory path only; parse_sweep_spec rejects
+/// SoA specs asking for either. Both wrappers are the identity when off,
+/// so this costs nothing for plain specs.
+[[nodiscard]] sim::SyncPolicyFactory sweep_factory(
+    const SweepSpec& spec, const core::SyncPolicySpec* pspec) {
+  const bool duty = spec.mobility.enabled;
+  return core::with_trust(
+      core::with_duty_cycle(pspec != nullptr
+                                ? core::make_policy_factory(*pspec)
+                                : make_factory(spec),
+                            duty ? spec.mobility.duty_on : 1,
+                            duty ? spec.mobility.duty_period : 1),
+      spec.trust);
+}
+
 /// Runs the trials in `indices` serially — engine seed derive(root, t) for
 /// trial t, exactly as the batch runner seeds them — and emits one wire
 /// record each. Shared by the worker children and the parent's
@@ -77,36 +94,24 @@ void run_trial_subset(
     const std::vector<std::size_t>& indices,
     const std::function<void(const runner::TrialOutcomeRecord&)>& emit) {
   const util::SeedSequence seeds(spec.seed);
+  std::optional<sim::SoaSlotKernel> kernel;
+  sim::SyncPolicyFactory factory;
   if (table != nullptr) {
-    sim::SoaSlotKernel kernel(network);
-    for (const std::size_t t : indices) {
-      sim::SlotEngineConfig engine = engine_base;
-      engine.seed = seeds.derive(t);
-      const auto result = kernel.run(*table, engine);
-      emit(runner::make_outcome_record(t, result.complete,
-                                       result.completion_slot,
-                                       result.robustness));
-    }
-    return;
+    kernel.emplace(network);
+  } else {
+    factory = sweep_factory(spec, pspec);
   }
-  // Duty cycling and trust wrap policy objects, so they ride the factory
-  // path only; parse_sweep_spec rejects SoA specs asking for either.
-  // with_trust(..., disabled) is the identity, so the wrap is free for
-  // untrusted specs.
-  const sim::SyncPolicyFactory factory = core::with_trust(
-      core::with_duty_cycle(
-          pspec != nullptr ? core::make_policy_factory(*pspec)
-                           : make_factory(spec),
-          spec.mobility.enabled ? spec.mobility.duty_on : 1,
-          spec.mobility.enabled ? spec.mobility.duty_period : 1),
-      spec.trust);
   for (const std::size_t t : indices) {
     sim::SlotEngineConfig engine = engine_base;
     engine.seed = seeds.derive(t);
-    const auto result = sim::run_slot_engine(network, factory, engine);
-    emit(runner::make_outcome_record(t, result.complete,
-                                     result.completion_slot,
-                                     result.robustness));
+    const auto record = [t](const auto& result) {
+      return runner::make_outcome_record(t, result.complete,
+                                         result.completion_slot,
+                                         result.robustness);
+    };
+    emit(kernel.has_value()
+             ? record(kernel->run(*table, engine))
+             : record(sim::run_slot_engine(network, factory, engine)));
   }
 }
 
@@ -300,30 +305,15 @@ bool run_sweep(const SweepSpec& spec, std::size_t workers,
       trial.threads = 1;  // the service's unit of fan-out is the process
       trial.engine = engine;
       trial.kernel = spec.kernel;
-      const bool duty_cycled =
-          spec.mobility.enabled &&
-          spec.mobility.duty_on != spec.mobility.duty_period;
-      if (duty_cycled || spec.trust.enabled) {
-        // Duty cycling and trust wrap policy objects, so route spec
-        // algorithms through the factory path (parse rejects SoA specs
-        // asking for either; the spec overload below would bypass the
-        // wrappers).
-        stats = runner::run_sync_trials(
-            network,
-            core::with_trust(
-                core::with_duty_cycle(
-                    spec_algorithm ? core::make_policy_factory(pspec)
-                                   : make_factory(spec),
-                    duty_cycled ? spec.mobility.duty_on : 1,
-                    duty_cycled ? spec.mobility.duty_period : 1),
-                spec.trust),
-            trial);
-      } else {
-        stats = spec_algorithm
-                    ? runner::run_sync_trials(network, pspec, trial)
-                    : runner::run_sync_trials(network, make_factory(spec),
-                                              trial);
-      }
+      // Only the spec overload can run the SoA kernel (parse_sweep_spec
+      // admits kernel = soa for wrapper-free spec algorithms only); every
+      // engine-kernel spec runs the one sweep factory.
+      stats = spec.kernel == runner::SyncKernel::kSoa
+                  ? runner::run_sync_trials(network, pspec, trial)
+                  : runner::run_sync_trials(
+                        network,
+                        sweep_factory(spec, spec_algorithm ? &pspec : nullptr),
+                        trial);
     } else {
       const bool soa = spec.kernel == runner::SyncKernel::kSoa;
       sim::SoaPolicyTable table;

@@ -72,14 +72,8 @@ AsyncEngineResult run_async_engine(const net::Network& network,
   TrialSetup<AsyncPolicy> setup(network, factory, config.seed);
   FaultState<double> faults(network, setup.seeds(), config.faults);
 
-  // External interference at (time, node, channel): the configured PU
-  // schedule OR an active scheduled spectrum fault.
-  const bool has_interference =
-      static_cast<bool>(config.interference) || faults.has_spectrum();
-  const auto jammed = [&](double t, net::NodeId who, net::ChannelId c) {
-    return (config.interference && config.interference(t, who, c)) ||
-           faults.spectrum_blocked(t, who, c);
-  };
+  const Interference<double> jammed{config, faults};
+  const bool has_interference = jammed.any();
 
   std::vector<NodeState> nodes(n);
   std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
@@ -117,13 +111,12 @@ AsyncEngineResult run_async_engine(const net::Network& network,
     queue.push({node.start_time, EventKind::kFrameStart, u, 0});
   }
 
-  AsyncEngineResult result{false,
-                           0.0,
-                           t_s,
-                           std::vector<std::uint64_t>(n, 0),
-                           std::vector<RadioActivity>(n),
-                           {},
-                           DiscoveryState(network)};
+  AsyncEngineResult result{.t_s = t_s,
+                           .frames_started = std::vector<std::uint64_t>(n, 0),
+                           .activity = std::vector<RadioActivity>(n),
+                           .full_frames_since_ts = {},
+                           .state = DiscoveryState(network),
+                           .robustness = {}};
 
   // History retention: a frame overlapping a just-ended listening frame g
   // started no earlier than g.start minus one (maximal) frame length. Track
@@ -175,36 +168,24 @@ AsyncEngineResult run_async_engine(const net::Network& network,
       // nor frames_started are counted.
       const bool down = faults.down_at(ev.node, ev.time);
       if (!down) {
-        // Adversary roles replace the node's policy at frame granularity:
-        // a jammer transmits noise every frame on its fixed channel (no
-        // draws), a Byzantine announcer draws channel + coin per frame
-        // from the node's policy stream — the frame-axis mirror of the
-        // slotted engines' per-slot intercept.
-        switch (faults.role(ev.node)) {
-          case AdversaryRole::kJammer:
-            frame.mode = Mode::kTransmit;
-            frame.channel = faults.jam_channel(ev.node);
-            break;
-          case AdversaryRole::kByzantine: {
-            const SlotAction action =
-                faults.byzantine_slot_action(ev.node, setup.rng(ev.node));
-            frame.mode = action.mode;
-            frame.channel = action.channel;
-            break;
+        // Adversary roles replace the node's policy at frame granularity,
+        // one action per frame — the frame-axis mirror of the slotted
+        // engines' per-slot intercept.
+        if (faults.scripted(ev.node)) {
+          const SlotAction action =
+              faults.adversary_action(ev.node, setup.rng(ev.node));
+          frame.mode = action.mode;
+          frame.channel = action.channel;
+        } else {
+          if (faults.consume_reset(ev.node, ev.time)) {
+            setup.reset_policy(ev.node);
           }
-          default: {
-            if (faults.consume_reset(ev.node, ev.time)) {
-              setup.reset_policy(ev.node);
-            }
-            const FrameAction action = setup.policy(ev.node).next_frame(
-                setup.rng(ev.node));
-            frame.mode = action.mode;
-            frame.channel = action.channel;
-            if (action.mode != Mode::kQuiet) {
-              M2HEW_DCHECK(
-                  network.available(ev.node).contains(action.channel));
-            }
-            break;
+          const FrameAction action =
+              setup.policy(ev.node).next_frame(setup.rng(ev.node));
+          frame.mode = action.mode;
+          frame.channel = action.channel;
+          if (action.mode != Mode::kQuiet) {
+            M2HEW_DCHECK(network.available(ev.node).contains(action.channel));
           }
         }
         count_mode(result.activity[ev.node], frame.mode);
@@ -345,44 +326,27 @@ AsyncEngineResult run_async_engine(const net::Network& network,
           }
         }
         if (interfered) continue;
-        // Adversarial dispositions, mirroring the slot engine. A jammer's
-        // burst is noise (it still interferes with other senders above,
-        // but never decodes); a non-responder's message never decodes at
-        // its victims. Neither consumes a loss draw.
-        if (faults.adversaries()) {
-          if (faults.jam_noise(burst.sender)) break;
-          if (faults.suppressed(burst.sender, u)) break;
-        }
-        if (faults.message_lost(burst.sender, u, setup.loss_rng(),
-                                config.loss_probability)) {
-          continue;
-        }
-        // A Byzantine message decodes but announces a fake ID — fed to
-        // the fault-layer table accounting and the policy, never the
-        // discovery state.
-        if (faults.fake_source(burst.sender)) {
-          const net::NodeId announced = faults.fake_id(burst.sender);
-          if (!setup.policy(u).admit_neighbor(announced)) {
-            faults.note_isolation(u, announced, s1);
-          } else {
-            const bool first_fake =
-                faults.note_fake_decode(burst.sender, u, s1);
-            setup.policy(u).observe_reception(announced, first_fake);
+        // The shared disposition chain. A jammer's burst is noise (it
+        // still interferes with other senders above, but never decodes);
+        // a lost slot leaves the burst's later slots in play; any other
+        // outcome settles this sender for the frame.
+        const Reception rx = dispose_reception(
+            faults, burst.sender, u, s1, setup.loss_rng(),
+            config.loss_probability, [&](net::NodeId id) {
+              return setup.policy(u).admit_neighbor(id);
+            });
+        if (rx.disposition == Disposition::kLost) continue;
+        if (rx.disposition == Disposition::kFake) {
+          setup.policy(u).observe_reception(rx.announced, rx.first_fake);
+        } else if (rx.disposition == Disposition::kAdmitted) {
+          const bool first_time =
+              result.state.record_reception(burst.sender, u, s1);
+          if (first_time) {
+            last_covered_time = std::max(last_covered_time, s1);
           }
-          break;
+          setup.policy(u).observe_reception(burst.sender, first_time);
         }
-        if (!setup.policy(u).admit_neighbor(burst.sender)) {
-          faults.note_isolation(u, burst.sender, s1);
-          break;
-        }
-        const bool first_time =
-            result.state.record_reception(burst.sender, u, s1);
-        faults.note_reception(burst.sender, u, s1);
-        if (first_time) {
-          last_covered_time = std::max(last_covered_time, s1);
-        }
-        setup.policy(u).observe_reception(burst.sender, first_time);
-        break;  // one clear slot from this sender suffices
+        break;
       }
     }
 

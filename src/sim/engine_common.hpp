@@ -4,8 +4,8 @@
 // a trial needs regardless of the slicing lives here: the root seed, the
 // loss model, the dynamic primary-user field, the reception-resolution
 // strategy switch, the stop condition and the per-node start schedule —
-// plus the one validation routine and the activity/completion accounting
-// all engines share.
+// plus the one validation routine, the activity/completion accounting and
+// the post-resolution disposition chain all engines share.
 #pragma once
 
 #include <algorithm>
@@ -137,6 +137,25 @@ template <typename Time>
   return std::min(e, provider.epoch_count() - 1);
 }
 
+/// External interference at (time, node, channel): the configured PU
+/// schedule OR an active scheduled spectrum fault. While it is active a
+/// transmitter vacates the channel and a listener hears noise.
+template <typename Time>
+struct Interference {
+  const EngineCommon<Time>& config;
+  const FaultState<Time>& faults;
+
+  /// False when no query can ever report interference.
+  [[nodiscard]] bool any() const {
+    return static_cast<bool>(config.interference) || faults.has_spectrum();
+  }
+  [[nodiscard]] bool operator()(Time t, net::NodeId who,
+                                net::ChannelId c) const {
+    return (config.interference && config.interference(t, who, c)) ||
+           faults.spectrum_blocked(t, who, c);
+  }
+};
+
 /// Start time of node `u` under a (possibly empty) start schedule.
 template <typename Time>
 [[nodiscard]] inline Time start_of(const std::vector<Time>& starts,
@@ -170,6 +189,74 @@ template <typename Time>
   complete = true;
   completion = now;
   return stop_when_complete;
+}
+
+/// What became of a message whose sender the medium resolved uniquely at a
+/// listener. dispose_reception is the one place that decides it, for every
+/// engine; each engine maps the result onto its own feedback.
+enum class Disposition : unsigned char {
+  kNoise,       ///< a jammer's burst: noise, reads as a collision
+  kSuppressed,  ///< a non-responder ignoring this victim: silence
+  kLost,        ///< dropped by the loss model: silence
+  kRejected,    ///< decoded, refused by the listener's admission gate
+  kFake,        ///< decoded Byzantine fake ID, admitted
+  kAdmitted,    ///< decoded real sender, admitted: the engine records it
+};
+
+struct Reception {
+  Disposition disposition = Disposition::kLost;
+  /// The ID the message announced: the sender's own, or its fake ID.
+  net::NodeId announced = net::kInvalidNode;
+  /// kFake only: the fake ID's first decode at this listener.
+  bool first_fake = false;
+};
+
+/// What a listening radio reports to its policy for a disposition.
+[[nodiscard]] inline ListenOutcome listen_outcome(Disposition d) noexcept {
+  switch (d) {
+    case Disposition::kNoise:
+      return ListenOutcome::kCollision;
+    case Disposition::kSuppressed:
+    case Disposition::kLost:
+      return ListenOutcome::kSilence;
+    default:
+      return ListenOutcome::kClear;
+  }
+}
+
+/// The post-resolution disposition chain, in its one order: jammer noise →
+/// non-responder suppression → loss → Byzantine fake ID → admission gate.
+/// Noise and suppression are not decodable messages, so they consume no
+/// loss draw. `admit(announced)` is the listener policy's admission gate
+/// (paths without policy objects pass one that always admits). The fault
+/// layer's bookkeeping (isolation, fake-table and rediscovery notes, all at
+/// time `t`) happens here; recording an admitted real sender into the
+/// engine's coverage is left to the caller.
+template <typename Time, typename Admit>
+[[nodiscard]] inline Reception dispose_reception(
+    FaultState<Time>& faults, net::NodeId sender, net::NodeId listener,
+    Time t, util::Rng& loss_rng, double loss_probability, Admit&& admit) {
+  const AdversaryRole role = faults.role(sender);
+  if (role == AdversaryRole::kJammer) return {Disposition::kNoise, sender};
+  if (role == AdversaryRole::kNonResponder &&
+      faults.suppressed(sender, listener)) {
+    return {Disposition::kSuppressed, sender};
+  }
+  if (faults.message_lost(sender, listener, loss_rng, loss_probability)) {
+    return {Disposition::kLost, sender};
+  }
+  const bool fake = role == AdversaryRole::kByzantine;
+  const net::NodeId announced = fake ? faults.fake_id(sender) : sender;
+  if (!admit(announced)) {
+    faults.note_isolation(listener, announced, t);
+    return {Disposition::kRejected, announced};
+  }
+  if (fake) {
+    return {Disposition::kFake, announced,
+            faults.note_fake_decode(sender, listener, t)};
+  }
+  faults.note_reception(sender, listener, t);
+  return {Disposition::kAdmitted, sender};
 }
 
 /// History-retention horizon factor shared by the async engine's frame

@@ -191,8 +191,11 @@ bool FaultState<Time>::suppressed(net::NodeId sender,
 }
 
 template <typename Time>
-SlotAction FaultState<Time>::byzantine_slot_action(net::NodeId u,
-                                                   util::Rng& rng) const {
+SlotAction FaultState<Time>::adversary_action(net::NodeId u,
+                                              util::Rng& rng) const {
+  if (role(u) == AdversaryRole::kJammer) {
+    return SlotAction{Mode::kTransmit, jam_channel_[u]};
+  }
   const std::vector<net::ChannelId>& avail = byz_avail_[u];
   const net::ChannelId c =
       avail[static_cast<std::size_t>(rng.uniform(avail.size()))];

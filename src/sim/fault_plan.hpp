@@ -327,7 +327,6 @@ class FaultState {
   [[nodiscard]] bool has_spectrum() const noexcept {
     return !plan_->spectrum.empty();
   }
-  [[nodiscard]] bool adversaries() const noexcept { return adversary_; }
   [[nodiscard]] std::size_t adversary_count() const noexcept {
     return adversary_count_;
   }
@@ -349,35 +348,33 @@ class FaultState {
     return fake_id_[u];
   }
 
-  /// True iff a resolved unique sender is a jammer — its "message" is
-  /// noise and must read as a collision at the listener.
-  [[nodiscard]] bool jam_noise(net::NodeId sender) const noexcept {
-    return adversary_ &&
-           role_[sender] == static_cast<std::uint8_t>(AdversaryRole::kJammer);
-  }
-
-  /// True iff a resolved unique sender announces a fake ID.
-  [[nodiscard]] bool fake_source(net::NodeId sender) const noexcept {
-    return adversary_ && role_[sender] == static_cast<std::uint8_t>(
-                                              AdversaryRole::kByzantine);
-  }
-
   /// True iff `receiver` is one of non-responder `sender`'s victims: the
   /// reception is suppressed (reads as silence, no loss draw consumed).
   [[nodiscard]] bool suppressed(net::NodeId sender,
                                 net::NodeId receiver) const noexcept;
 
-  /// The Byzantine announcer's slot action: one uniform channel pick from
-  /// A(u) then one Bernoulli(byzantine_tx) coin from the node's policy
-  /// stream — the exact draw shape of the paper's policies, so the slot
-  /// engine and the SoA kernel stay bit-identical.
-  [[nodiscard]] SlotAction byzantine_slot_action(net::NodeId u,
-                                                 util::Rng& rng) const;
+  /// True iff node u's role replaces its policy (jammer or Byzantine).
+  /// Honest nodes and non-responders keep their honest schedule; a
+  /// non-responder's suppression happens at its victims' decode step.
+  [[nodiscard]] bool scripted(net::NodeId u) const noexcept {
+    const AdversaryRole r = role(u);
+    return r == AdversaryRole::kJammer || r == AdversaryRole::kByzantine;
+  }
+
+  /// The action a scripted node takes in place of its policy, for every
+  /// engine (one slot or one frame): a jammer transmits noise on its fixed
+  /// channel without any draws; a Byzantine announcer draws one uniform
+  /// channel pick from A(u) then one Bernoulli(byzantine_tx) coin from the
+  /// node's policy stream — the exact draw shape of the paper's policies,
+  /// so the slot engine and the SoA kernel stay bit-identical. Call only
+  /// when scripted(u).
+  [[nodiscard]] SlotAction adversary_action(net::NodeId u,
+                                            util::Rng& rng) const;
 
   /// Records a listener decoding a Byzantine announcement: refreshes (or
   /// creates, or un-evicts) the (receiver, fake ID) table entry. Returns
   /// true iff the entry is new at this listener (first_time semantics for
-  /// policy feedback). Call only when fake_source(sender).
+  /// policy feedback). Call only when `sender` is Byzantine.
   [[nodiscard]] bool note_fake_decode(net::NodeId sender,
                                       net::NodeId receiver, Time t);
 

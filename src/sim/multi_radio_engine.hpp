@@ -16,16 +16,13 @@
 // run_slot_engine (the engine-parity property test enforces it).
 #pragma once
 
-#include <cstdint>
 #include <functional>
 #include <memory>
 #include <vector>
 
 #include "net/network.hpp"
-#include "sim/discovery_state.hpp"
-#include "sim/energy.hpp"
-#include "sim/engine_common.hpp"
 #include "sim/radio.hpp"
+#include "sim/slot_engine.hpp"
 #include "util/rng.hpp"
 
 namespace m2hew::sim {
@@ -64,34 +61,17 @@ class MultiRadioPolicy {
 using MultiRadioPolicyFactory = std::function<std::unique_ptr<MultiRadioPolicy>(
     const net::Network&, net::NodeId)>;
 
-/// Engine-specific knobs on top of the shared core (seed, loss,
-/// interference, indexed_reception, stop_when_complete, starts — see
-/// EngineCommon). `starts` entries are global slot indices, as in the
-/// single-radio slot engine.
-struct MultiRadioEngineConfig : SlotEngineCommon {
-  /// Hard budget on global slots simulated.
-  std::uint64_t max_slots = 1'000'000;
-  /// Optional observer invoked on every clear reception:
-  /// (global slot, sender, receiver, channel).
-  std::function<void(std::uint64_t, net::NodeId, net::NodeId, net::ChannelId)>
-      on_reception;
-};
+/// The multi-radio engine shares the slot engine's config and result (see
+/// sim/slot_engine.hpp); both are instantiations of one slotted loop.
+/// `starts` entries are global slot indices. Result activity is summed over
+/// a node's radios (one count per radio per started slot, so
+/// activity[u].total() == started slots × radio_count); suppressed
+/// transmissions count as quiet, exactly as in the slot engine.
+using MultiRadioEngineConfig = SlotEngineConfig;
+using MultiRadioEngineResult = SlotEngineResult;
 
-struct MultiRadioEngineResult {
-  bool complete = false;
-  std::uint64_t completion_slot = 0;
-  std::uint64_t slots_executed = 0;
-  /// Per-node slot counts by radio mode from the node's start slot on,
-  /// summed over the node's radios (one count per radio per started slot,
-  /// so activity[u].total() == started slots × radio_count). Suppressed
-  /// transmissions count as quiet, exactly as in the slot engine.
-  std::vector<RadioActivity> activity;
-  DiscoveryState state;
-  /// Fault-robustness metrics; RobustnessReport::enabled is false when the
-  /// config carried no fault plan.
-  RobustnessReport robustness;
-};
-
+/// Runs one trial. Aborts unless config.max_slots >= 1, every policy has at
+/// least one radio, and no two radios of one node share a channel.
 [[nodiscard]] MultiRadioEngineResult run_multi_radio_engine(
     const net::Network& network, const MultiRadioPolicyFactory& factory,
     const MultiRadioEngineConfig& config);

@@ -14,7 +14,9 @@
 // The channel semantics, loss model, interference model, per-trial
 // seeding and reception resolution all live in the shared medium core
 // (sim/engine_common.hpp, sim/trial_setup.hpp, sim/slot_medium.hpp) and
-// are common to every engine.
+// are common to every engine. The multi-radio engine
+// (sim/multi_radio_engine.hpp) is the same per-slot loop with several
+// radios per node; this engine is its one-radio case.
 #pragma once
 
 #include <cstdint>

@@ -101,13 +101,8 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   TrialStreams streams(n, config.seed);
   FaultState<std::uint64_t> faults(*network_, streams.seeds(), config.faults);
 
-  const bool has_interference =
-      static_cast<bool>(config.interference) || faults.has_spectrum();
-  const auto jammed = [&](std::uint64_t slot, net::NodeId who,
-                          net::ChannelId c) {
-    return (config.interference && config.interference(slot, who, c)) ||
-           faults.spectrum_blocked(slot, who, c);
-  };
+  const Interference<std::uint64_t> jammed{config, faults};
+  const bool has_interference = jammed.any();
 
   SoaSlotKernelResult result;
   result.activity.assign(n, RadioActivity{});
@@ -160,23 +155,13 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
         mode_[u] = Mode::kQuiet;
         continue;
       }
-      // Adversary roles replace the policy table entry, with draws (none
-      // for a jammer; channel + coin for a Byzantine) matching the slot
-      // engine's bit-identically.
-      if (faults.adversaries()) {
-        const AdversaryRole role = faults.role(u);
-        if (role == AdversaryRole::kJammer) {
-          mode_[u] = Mode::kTransmit;
-          channel_[u] = faults.jam_channel(u);
-          continue;
-        }
-        if (role == AdversaryRole::kByzantine) {
-          const SlotAction action =
-              faults.byzantine_slot_action(u, streams.rng(u));
-          mode_[u] = action.mode;
-          channel_[u] = action.channel;
-          continue;
-        }
+      // Adversary roles replace the policy table entry, with draws
+      // matching the slot engine's bit-identically.
+      if (faults.scripted(u)) {
+        const SlotAction action = faults.adversary_action(u, streams.rng(u));
+        mode_[u] = action.mode;
+        channel_[u] = action.channel;
+        continue;
       }
       if (faults.consume_reset(u, slot)) {
         slot_in_stage_[u] = 0;
@@ -264,23 +249,14 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
         sender_arc = arc;
       }
       if (collision || sender == net::kInvalidNode) continue;
-      // Adversarial dispositions, mirroring the slot engine: jammer noise
-      // and non-responder suppression consume no loss draw; a Byzantine
-      // message passes the loss gate, then lands in the fake table
-      // instead of the coverage arrays (the SoA path has no policy
-      // objects, so there is no trust gate — equivalence legs run
-      // untrusted).
-      if (faults.adversaries()) {
-        if (faults.jam_noise(sender) || faults.suppressed(sender, u)) {
-          continue;
-        }
-      }
-      if (faults.message_lost(sender, u, streams.loss_rng(),
-                              config.loss_probability)) {
-        continue;
-      }
-      if (faults.fake_source(sender)) {
-        (void)faults.note_fake_decode(sender, u, slot);
+      // The shared disposition chain. The SoA path has no policy objects,
+      // so nothing is refused (equivalence legs run untrusted); a Byzantine
+      // message lands in the fault layer's fake table, never in the
+      // coverage arrays.
+      if (dispose_reception(faults, sender, u, slot, streams.loss_rng(),
+                            config.loss_probability,
+                            [](net::NodeId) { return true; })
+              .disposition != Disposition::kAdmitted) {
         continue;
       }
       ++result.receptions;
@@ -289,7 +265,6 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
         result.first_slot[sender_arc] = static_cast<double>(slot);
         ++result.covered_links;
       }
-      faults.note_reception(sender, u, slot);
       if (config.on_reception) config.on_reception(slot, sender, u, c);
     }
 

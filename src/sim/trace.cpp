@@ -60,72 +60,77 @@ std::string Trace::render_timeline(std::uint64_t first,
 
 namespace {
 
-class TracingSyncPolicy final : public SyncPolicy {
+// Records every action the inner policy returns and forwards every engine
+// callback to it, so a traced run is exactly the run it traces.
+template <typename Base>
+class Tracing : public Base {
  public:
-  TracingSyncPolicy(std::unique_ptr<SyncPolicy> inner, Trace& trace,
-                    net::NodeId node)
+  Tracing(std::unique_ptr<Base> inner, Trace& trace, net::NodeId node)
       : inner_(std::move(inner)), trace_(&trace), node_(node) {
     M2HEW_CHECK(inner_ != nullptr);
   }
+
+  void observe_reception(net::NodeId from, bool first_time) override {
+    inner_->observe_reception(from, first_time);
+  }
+
+  [[nodiscard]] bool admit_neighbor(net::NodeId announced) override {
+    return inner_->admit_neighbor(announced);
+  }
+
+ protected:
+  template <typename Action>
+  Action record(Action action) {
+    trace_->record(node_, index_++, action.mode, action.channel);
+    return action;
+  }
+
+  std::unique_ptr<Base> inner_;
+
+ private:
+  Trace* trace_;
+  net::NodeId node_;
+  std::uint64_t index_ = 0;
+};
+
+class TracingSyncPolicy final : public Tracing<SyncPolicy> {
+ public:
+  using Tracing::Tracing;
 
   SlotAction next_slot(util::Rng& rng) override {
-    const SlotAction action = inner_->next_slot(rng);
-    trace_->record(node_, index_++, action.mode, action.channel);
-    return action;
+    return record(inner_->next_slot(rng));
   }
 
-  void observe_reception(net::NodeId from, bool first_time) override {
-    inner_->observe_reception(from, first_time);
+  void observe_listen_outcome(ListenOutcome outcome) override {
+    inner_->observe_listen_outcome(outcome);
   }
-
- private:
-  std::unique_ptr<SyncPolicy> inner_;
-  Trace* trace_;
-  net::NodeId node_;
-  std::uint64_t index_ = 0;
 };
 
-class TracingAsyncPolicy final : public AsyncPolicy {
+class TracingAsyncPolicy final : public Tracing<AsyncPolicy> {
  public:
-  TracingAsyncPolicy(std::unique_ptr<AsyncPolicy> inner, Trace& trace,
-                     net::NodeId node)
-      : inner_(std::move(inner)), trace_(&trace), node_(node) {
-    M2HEW_CHECK(inner_ != nullptr);
-  }
+  using Tracing::Tracing;
 
   FrameAction next_frame(util::Rng& rng) override {
-    const FrameAction action = inner_->next_frame(rng);
-    trace_->record(node_, index_++, action.mode, action.channel);
-    return action;
+    return record(inner_->next_frame(rng));
   }
-
-  void observe_reception(net::NodeId from, bool first_time) override {
-    inner_->observe_reception(from, first_time);
-  }
-
- private:
-  std::unique_ptr<AsyncPolicy> inner_;
-  Trace* trace_;
-  net::NodeId node_;
-  std::uint64_t index_ = 0;
 };
+
+template <typename Traced, typename Factory>
+[[nodiscard]] Factory traced_factory(Factory inner, Trace& trace) {
+  return [inner = std::move(inner), &trace](const net::Network& network,
+                                            net::NodeId u) {
+    return std::make_unique<Traced>(inner(network, u), trace, u);
+  };
+}
 
 }  // namespace
 
 SyncPolicyFactory traced(SyncPolicyFactory inner, Trace& trace) {
-  return [inner = std::move(inner), &trace](const net::Network& network,
-                                            net::NodeId u)
-             -> std::unique_ptr<SyncPolicy> {
-    return std::make_unique<TracingSyncPolicy>(inner(network, u), trace, u);
-  };
+  return traced_factory<TracingSyncPolicy>(std::move(inner), trace);
 }
 
 AsyncPolicyFactory traced(AsyncPolicyFactory inner, Trace& trace) {
-  return [inner = std::move(inner), &trace](const net::Network& network,
-                                            net::NodeId u)
-             -> std::unique_ptr<AsyncPolicy> {
-    return std::make_unique<TracingAsyncPolicy>(inner(network, u), trace, u);
-  };
+  return traced_factory<TracingAsyncPolicy>(std::move(inner), trace);
 }
 
 }  // namespace m2hew::sim

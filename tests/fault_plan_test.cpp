@@ -334,7 +334,7 @@ TEST(FaultPlanTest, AdversaryRolesAreDeterministicAndAttackInvariant) {
       ASSERT_EQ(a.fake_id(u), b.fake_id(u));
       EXPECT_LT(a.fake_id(u), 20u);  // [0, 2n)
     }
-    honest += a.role(u) == sim::AdversaryRole::kHonest ? 1 : 0;
+    if (a.role(u) == sim::AdversaryRole::kHonest) ++honest;
   }
   EXPECT_EQ(honest + a.adversary_count(), 10u);
 }

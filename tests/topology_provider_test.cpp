@@ -67,7 +67,7 @@ namespace {
 // ANY plan attached.
 template <typename Time>
 [[nodiscard]] sim::FaultPlan<Time> make_fault_plan(std::uint64_t seed,
-                                                   net::NodeId n,
+                                                   net::NodeId /*n*/,
                                                    double horizon) {
   sim::FaultPlan<Time> plan;
   util::Rng rng(seed ^ 0xFA157);

@@ -4,7 +4,9 @@
 
 #include <memory>
 
+#include "core/adaptive.hpp"
 #include "core/algorithms.hpp"
+#include "core/trust.hpp"
 #include "net/topology_gen.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/slot_engine.hpp"
@@ -96,6 +98,70 @@ TEST(TracedSyncPolicy, TraceMatchesEngineBehaviour) {
   ASSERT_TRUE(plain.complete);
   ASSERT_TRUE(traced_run.complete);
   EXPECT_EQ(plain.completion_slot, traced_run.completion_slot);
+}
+
+void expect_same_run(const SlotEngineResult& plain,
+                     const SlotEngineResult& traced_run) {
+  EXPECT_EQ(plain.complete, traced_run.complete);
+  EXPECT_EQ(plain.completion_slot, traced_run.completion_slot);
+  EXPECT_EQ(plain.slots_executed, traced_run.slots_executed);
+  EXPECT_EQ(plain.state.reception_count(), traced_run.state.reception_count());
+  EXPECT_EQ(plain.robustness.fake_entries, traced_run.robustness.fake_entries);
+  EXPECT_EQ(plain.robustness.isolated_fakes,
+            traced_run.robustness.isolated_fakes);
+  EXPECT_EQ(plain.robustness.honest_isolated,
+            traced_run.robustness.honest_isolated);
+}
+
+TEST(TracedSyncPolicy, ForwardsListenOutcomes) {
+  // The adaptive policy steers on listen outcomes; a decorator that drops
+  // them traces a run that never completes.
+  const net::Network network(
+      net::make_clique(40),
+      std::vector<net::ChannelSet>(40, net::ChannelSet(2, {0, 1})));
+  SlotEngineConfig config;
+  config.max_slots = 100'000;
+  for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+    config.seed = seed;
+    const auto plain = run_slot_engine(network, core::make_adaptive(), config);
+    Trace trace;
+    const auto traced_run =
+        run_slot_engine(network, traced(core::make_adaptive(), trace), config);
+    ASSERT_TRUE(plain.complete) << "seed " << seed;
+    expect_same_run(plain, traced_run);
+  }
+}
+
+TEST(TracedSyncPolicy, ForwardsTheAdmissionGate) {
+  // Under a Byzantine plan the trust wrapper isolates fakes through
+  // admit_neighbor; tracing it must not bypass the gate.
+  const net::Network network(
+      net::make_clique(8),
+      std::vector<net::ChannelSet>(8, net::ChannelSet::full(4)));
+  SlotEngineConfig config;
+  config.max_slots = 6'000;
+  config.seed = 61;
+  config.faults.adversary.fraction = 0.5;
+  config.faults.adversary.attack = AdversaryAttack::kByzantine;
+  config.faults.adversary.byzantine_tx = 0.9;
+  core::TrustConfig trust;
+  trust.enabled = true;
+  trust.threshold = 0.3;
+  trust.rate_penalty = 0.4;
+  trust.rate_window = 64;
+  trust.max_per_window = 8;
+  trust.block_slots = 100'000;
+  trust.entry_window = 200'000;
+
+  const auto plain = run_slot_engine(
+      network, core::with_trust(core::make_algorithm3(16), trust), config);
+  Trace trace;
+  const auto traced_run = run_slot_engine(
+      network,
+      traced(core::with_trust(core::make_algorithm3(16), trust), trace),
+      config);
+  ASSERT_GT(plain.robustness.isolated_fakes, 0u);
+  expect_same_run(plain, traced_run);
 }
 
 TEST(TracedAsyncPolicy, RecordsFrames) {
