@@ -33,80 +33,61 @@ void Network::build(const PropagationFilter* propagation) {
     s_ = std::max(s_, a.size());
   }
 
-  // Per-arc spans, discovery links and per-channel in-degrees.
+  // In-link CSR over the finalized (id-sorted) in-neighbor lists: the
+  // position of an arc in it is its arc id.
   const auto arcs = topology_.arcs();
-  spans_.reserve(arcs.size());
-  arc_index_of_.assign(n, {});
-  degree_on_channel_.assign(n, std::vector<std::size_t>(universe_, 0));
-  for (std::size_t i = 0; i < arcs.size(); ++i) {
-    const auto& [from, to] = arcs[i];
-    ChannelSet span = assignment_[from].intersect(assignment_[to]);
+  spans_.resize(arcs.size());
+  in_link_offsets_.assign(n + 1, 0);
+  in_links_flat_.resize(arcs.size());
+  for (NodeId u = 0; u < n; ++u) {
+    const auto sources = topology_.in_neighbors(u);
+    for (std::size_t k = 0; k < sources.size(); ++k) {
+      const std::size_t arc = in_link_offsets_[u] + k;
+      in_links_flat_[arc] = {sources[k], &spans_[arc]};
+    }
+    in_link_offsets_[u + 1] = in_link_offsets_[u] + sources.size();
+  }
+
+  // Dense arc matrix for O(1) in_arc() on the sizes the engines sweep.
+  if (n <= kDenseArcLimit) {
+    arc_matrix_.assign(static_cast<std::size_t>(n) * n, -1);
+    for (NodeId u = 0; u < n; ++u) {
+      for (std::size_t a = in_link_offsets_[u]; a < in_link_offsets_[u + 1];
+           ++a) {
+        arc_matrix_[static_cast<std::size_t>(u) * n + in_links_flat_[a].from] =
+            static_cast<std::int32_t>(a);
+      }
+    }
+  }
+
+  // Per-arc spans; discovery links (in topology insertion order) with
+  // their per-channel in-degrees and span ratios.
+  degree_on_channel_.assign(static_cast<std::size_t>(n) * universe_, 0);
+  links_.reserve(arcs.size());
+  link_arcs_.reserve(arcs.size());
+  rho_ = 1.0;
+  for (const auto& [from, to] : arcs) {
+    const std::size_t arc = in_arc(from, to);
+    ChannelSet& span = spans_[arc];
+    span = assignment_[from];
+    span.intersect_with(assignment_[to]);
     if (propagation != nullptr) {
       const ChannelSet mask = (*propagation)(from, to);
       M2HEW_CHECK_MSG(mask.universe_size() == universe_,
                       "propagation mask universe mismatch");
-      span = span.intersect(mask);
+      span.intersect_with(mask);
     }
-    if (!span.empty()) {
-      links_.push_back({from, to});
-      for (const ChannelId c : span.to_vector()) {
-        ++degree_on_channel_[to][c];
-      }
+    if (span.empty()) continue;
+    links_.push_back({from, to});
+    link_arcs_.push_back(arc);
+    for (const ChannelId c : span.to_vector()) {
+      ++degree_on_channel_[static_cast<std::size_t>(to) * universe_ + c];
     }
-    arc_index_of_[from].emplace_back(to, i);
-    spans_.push_back(std::move(span));
+    rho_ = std::min(rho_, static_cast<double>(span.size()) /
+                              static_cast<double>(assignment_[to].size()));
   }
-  for (auto& list : arc_index_of_) {
-    std::sort(list.begin(), list.end());
-  }
-
-  // Flat CSR of incoming arcs (span pointers are stable: spans_ is fully
-  // built). Counting pass -> offsets, then fill each node's slice and sort
-  // it by source id.
-  in_link_offsets_.assign(n + 1, 0);
-  for (const auto& [from, to] : arcs) {
-    ++in_link_offsets_[to + 1];
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    in_link_offsets_[u + 1] += in_link_offsets_[u];
-  }
-  in_links_flat_.assign(arcs.size(), InLink{});
-  {
-    std::vector<std::size_t> cursor(in_link_offsets_.begin(),
-                                    in_link_offsets_.end() - 1);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      const auto& [from, to] = arcs[i];
-      in_links_flat_[cursor[to]++] = {from, &spans_[i]};
-    }
-  }
-  for (NodeId u = 0; u < n; ++u) {
-    std::sort(
-        in_links_flat_.begin() + static_cast<std::ptrdiff_t>(
-                                     in_link_offsets_[u]),
-        in_links_flat_.begin() + static_cast<std::ptrdiff_t>(
-                                     in_link_offsets_[u + 1]),
-        [](const InLink& a, const InLink& b) { return a.from < b.from; });
-  }
-
-  // Dense arc matrix for O(1) in_span() on the sizes the engines sweep.
-  if (n <= kDenseArcLimit) {
-    arc_matrix_.assign(static_cast<std::size_t>(n) * n, -1);
-    for (std::size_t i = 0; i < arcs.size(); ++i) {
-      const auto& [from, to] = arcs[i];
-      arc_matrix_[static_cast<std::size_t>(to) * n + from] =
-          static_cast<std::int32_t>(i);
-    }
-  }
-
-  for (NodeId u = 0; u < n; ++u) {
-    for (ChannelId c = 0; c < universe_; ++c) {
-      delta_ = std::max(delta_, degree_on_channel_[u][c]);
-    }
-  }
-
-  rho_ = 1.0;
-  for (const Link link : links_) {
-    rho_ = std::min(rho_, span_ratio(link));
+  for (const std::uint32_t d : degree_on_channel_) {
+    delta_ = std::max<std::size_t>(delta_, d);
   }
 }
 
@@ -115,19 +96,11 @@ const ChannelSet& Network::available(NodeId u) const {
   return assignment_[u];
 }
 
-std::size_t Network::arc_index(NodeId from, NodeId to) const {
-  M2HEW_CHECK(from < node_count() && to < node_count());
-  const auto& list = arc_index_of_[from];
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), to,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  M2HEW_CHECK_MSG(it != list.end() && it->first == to,
-                  "span() on a non-arc");
-  return it->second;
-}
-
 const ChannelSet& Network::span(NodeId from, NodeId to) const {
-  return spans_[arc_index(from, to)];
+  M2HEW_CHECK(from < node_count() && to < node_count());
+  const std::size_t arc = in_arc(from, to);
+  M2HEW_CHECK_MSG(arc != kNoArc, "span() on a non-arc");
+  return spans_[arc];
 }
 
 std::span<const Network::InLink> Network::in_links(NodeId u) const {
@@ -136,18 +109,28 @@ std::span<const Network::InLink> Network::in_links(NodeId u) const {
           in_link_offsets_[u + 1] - in_link_offsets_[u]};
 }
 
-const ChannelSet* Network::in_span(NodeId from, NodeId to) const {
+std::size_t Network::in_arc(NodeId from, NodeId to) const {
   M2HEW_DCHECK(from < node_count() && to < node_count());
   if (!arc_matrix_.empty()) {
-    const std::int32_t idx =
+    const std::int32_t arc =
         arc_matrix_[static_cast<std::size_t>(to) * node_count() + from];
-    return idx < 0 ? nullptr : &spans_[static_cast<std::size_t>(idx)];
+    return arc < 0 ? kNoArc : static_cast<std::size_t>(arc);
   }
-  const auto links = in_links(to);
+  const auto begin = in_links_flat_.begin() +
+                     static_cast<std::ptrdiff_t>(in_link_offsets_[to]);
+  const auto end = in_links_flat_.begin() +
+                   static_cast<std::ptrdiff_t>(in_link_offsets_[to + 1]);
   const auto it = std::lower_bound(
-      links.begin(), links.end(), from,
+      begin, end, from,
       [](const InLink& entry, NodeId key) { return entry.from < key; });
-  return it != links.end() && it->from == from ? it->span : nullptr;
+  return it != end && it->from == from
+             ? static_cast<std::size_t>(it - in_links_flat_.begin())
+             : kNoArc;
+}
+
+const ChannelSet* Network::in_span(NodeId from, NodeId to) const {
+  const std::size_t arc = in_arc(from, to);
+  return arc == kNoArc ? nullptr : &spans_[arc];
 }
 
 double Network::span_ratio(Link link) const {
@@ -159,7 +142,7 @@ double Network::span_ratio(Link link) const {
 std::size_t Network::degree_on_channel(NodeId u, ChannelId c) const {
   M2HEW_CHECK(u < node_count());
   M2HEW_CHECK(c < universe_);
-  return degree_on_channel_[u][c];
+  return degree_on_channel_[static_cast<std::size_t>(u) * universe_ + c];
 }
 
 }  // namespace m2hew::net

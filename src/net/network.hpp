@@ -70,15 +70,40 @@ class Network {
   /// CSR-style array shared by all nodes).
   [[nodiscard]] std::span<const InLink> in_links(NodeId u) const;
 
-  /// span(from, to) if the arc from→to exists, nullptr otherwise. O(1)
-  /// through a dense arc matrix when node_count() <= kDenseArcLimit,
-  /// O(log indeg(to)) otherwise. This is the adjacency filter of the
-  /// engines' reception hot path: a listener resolves the per-channel
-  /// transmitter bucket against it instead of scanning all in-neighbors.
+  /// Arc ids. Every arc has one id: its position in the in-link CSR
+  /// (receivers ascending, sources ascending within a receiver), so the
+  /// arcs of u are ids [a, a + in_links(u).size()) in in_links(u) order.
+  /// Per-link simulator state is a per-arc array of arc_count() entries
+  /// indexed by it.
+  static constexpr std::size_t kNoArc = static_cast<std::size_t>(-1);
+  [[nodiscard]] std::size_t arc_count() const noexcept {
+    return in_links_flat_.size();
+  }
+
+  /// Arc id of from→to, or kNoArc if there is no such arc. O(1) through a
+  /// dense arc matrix when node_count() <= kDenseArcLimit, O(log
+  /// indeg(to)) otherwise.
+  [[nodiscard]] std::size_t in_arc(NodeId from, NodeId to) const;
+
+  /// span(from, to) if the arc from→to exists, nullptr otherwise, at
+  /// in_arc's cost. This is the adjacency filter of the engines' reception
+  /// hot path: a listener resolves the per-channel transmitter bucket
+  /// against it instead of scanning all in-neighbors.
   [[nodiscard]] const ChannelSet* in_span(NodeId from, NodeId to) const;
 
+  /// The span of arc id `arc` (< arc_count()).
+  [[nodiscard]] const ChannelSet& arc_span(std::size_t arc) const {
+    return spans_[arc];
+  }
+
+  /// Arc id of each discovery link, parallel to links().
+  [[nodiscard]] std::span<const std::size_t> link_arcs() const noexcept {
+    return link_arcs_;
+  }
+
   /// Largest node count for which the dense O(1) arc matrix is built
-  /// (4 MiB of int32 at the limit; DiscoveryState is O(N²) anyway).
+  /// (4 MiB of int32 at the limit). It is the only n² structure in the
+  /// simulator; larger networks answer in_arc by binary search.
   static constexpr std::size_t kDenseArcLimit = 1024;
 
   /// |span(from, to)| / |A(to)| for a discovery link.
@@ -104,27 +129,24 @@ class Network {
 
  private:
   void build(const PropagationFilter* propagation);
-  [[nodiscard]] std::size_t arc_index(NodeId from, NodeId to) const;
 
   Topology topology_;
   std::vector<ChannelSet> assignment_;
   ChannelId universe_ = 0;
 
-  // Per-arc spans, parallel to topology_.arcs().
+  // Per-arc spans, indexed by arc id.
   std::vector<ChannelSet> spans_;
-  // Flat in-neighbor adjacency (CSR): node u's incoming arcs, with span
-  // pointers into spans_, live in
-  // in_links_flat_[in_link_offsets_[u] .. in_link_offsets_[u+1]), sorted
-  // by source id; used by the engines' reception loops.
+  // In-link CSR: the arcs of node u are ids
+  // [in_link_offsets_[u], in_link_offsets_[u+1]), sorted by source id,
+  // with span pointers into spans_; used by the engines' reception loops.
   std::vector<InLink> in_links_flat_;
   std::vector<std::size_t> in_link_offsets_;
-  // Dense (to, from) -> index into spans_ matrix (-1 = no arc), built only
-  // for node counts up to kDenseArcLimit; makes in_span() O(1).
+  // Dense (to, from) -> arc id matrix (-1 = no arc), built only for node
+  // counts up to kDenseArcLimit; makes in_arc() O(1).
   std::vector<std::int32_t> arc_matrix_;
-  // Per-node sorted (source, arc index) pairs for O(log indeg) lookup.
-  std::vector<std::vector<std::pair<NodeId, std::size_t>>> arc_index_of_;
   std::vector<Link> links_;
-  std::vector<std::vector<std::size_t>> degree_on_channel_;  // [u][c]
+  std::vector<std::size_t> link_arcs_;  // parallel to links_
+  std::vector<std::uint32_t> degree_on_channel_;  // [u * universe_ + c]
 
   std::size_t s_ = 0;
   std::size_t delta_ = 0;

@@ -329,9 +329,11 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         // The shared disposition chain. A jammer's burst is noise (it
         // still interferes with other senders above, but never decodes);
         // a lost slot leaves the burst's later slots in play; any other
-        // outcome settles this sender for the frame.
+        // outcome settles this sender for the frame. Per-link state lives
+        // on the union network, so the arc id is resolved there.
+        const std::size_t arc = network.in_arc(burst.sender, u);
         const Reception rx = dispose_reception(
-            faults, burst.sender, u, s1, setup.loss_rng(),
+            faults, burst.sender, u, arc, s1, setup.loss_rng(),
             config.loss_probability, [&](net::NodeId id) {
               return setup.policy(u).admit_neighbor(id);
             });
@@ -340,7 +342,7 @@ AsyncEngineResult run_async_engine(const net::Network& network,
           setup.policy(u).observe_reception(rx.announced, rx.first_fake);
         } else if (rx.disposition == Disposition::kAdmitted) {
           const bool first_time =
-              result.state.record_reception(burst.sender, u, s1);
+              result.state.record_reception(burst.sender, u, arc, s1);
           if (first_time) {
             last_covered_time = std::max(last_covered_time, s1);
           }

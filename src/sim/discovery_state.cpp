@@ -15,45 +15,46 @@ constexpr std::uint8_t kCovered = 1;
 DiscoveryState::DiscoveryState(const net::Network& network)
     : network_(&network),
       n_(network.node_count()),
-      covered_(static_cast<std::size_t>(n_) * n_, kNotALink),
-      first_time_(static_cast<std::size_t>(n_) * n_, -1.0),
+      total_links_(network.links().size()),
+      covered_(network.arc_count(), kNotALink),
+      first_time_(network.arc_count(), -1.0),
       tables_(n_) {
-  for (const net::Link link : network.links()) {
-    covered_[link_slot(link.from, link.to)] = kUncovered;
-    ++total_links_;
-  }
-}
-
-std::size_t DiscoveryState::link_slot(net::NodeId sender,
-                                      net::NodeId receiver) const noexcept {
-  return static_cast<std::size_t>(sender) * n_ + receiver;
+  for (const std::size_t arc : network.link_arcs()) covered_[arc] = kUncovered;
 }
 
 bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
                                       double time) {
   M2HEW_CHECK(sender < n_ && receiver < n_);
-  const std::size_t slot = link_slot(sender, receiver);
-  M2HEW_CHECK_MSG(covered_[slot] != kNotALink,
+  const std::size_t arc = network_->in_arc(sender, receiver);
+  M2HEW_CHECK_MSG(arc != net::Network::kNoArc,
+                  "reception on a pair that is not a discovery link");
+  return record_reception(sender, receiver, arc, time);
+}
+
+bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
+                                      std::size_t arc, double time) {
+  M2HEW_DCHECK(arc == network_->in_arc(sender, receiver));
+  M2HEW_CHECK_MSG(arc < covered_.size() && covered_[arc] != kNotALink,
                   "reception on a pair that is not a discovery link");
   ++receptions_;
-  if (covered_[slot] == kCovered) return false;
-  covered_[slot] = kCovered;
-  first_time_[slot] = time;
+  if (covered_[arc] == kCovered) return false;
+  covered_[arc] = kCovered;
+  first_time_[arc] = time;
   ++covered_count_;
   // Receiver stores ⟨sender, A(sender) ∩ A(receiver)⟩ = span.
-  tables_[receiver].push_back(
-      {sender, network_->span(sender, receiver)});
+  tables_[receiver].push_back({sender, network_->arc_span(arc)});
   return true;
 }
 
 bool DiscoveryState::is_covered(net::Link link) const {
   M2HEW_CHECK(link.from < n_ && link.to < n_);
-  return covered_[link_slot(link.from, link.to)] == kCovered;
+  const std::size_t arc = network_->in_arc(link.from, link.to);
+  return arc != net::Network::kNoArc && covered_[arc] == kCovered;
 }
 
 double DiscoveryState::first_coverage_time(net::Link link) const {
   M2HEW_CHECK_MSG(is_covered(link), "link not covered yet");
-  return first_time_[link_slot(link.from, link.to)];
+  return first_time_[network_->in_arc(link.from, link.to)];
 }
 
 const std::vector<NeighborRecord>& DiscoveryState::neighbor_table(

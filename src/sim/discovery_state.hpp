@@ -6,7 +6,9 @@
 // detect completion and the benches use it to report discovery latency.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "net/channel_set.hpp"
@@ -32,6 +34,10 @@ class DiscoveryState {
   /// not change first-coverage time. Returns true iff this was the first
   /// coverage of the link.
   bool record_reception(net::NodeId sender, net::NodeId receiver, double time);
+  /// The same, with the arc id network.in_arc(sender, receiver) already
+  /// resolved (the engines' hot path).
+  bool record_reception(net::NodeId sender, net::NodeId receiver,
+                        std::size_t arc, double time);
 
   [[nodiscard]] bool complete() const noexcept {
     return covered_count_ == total_links_;
@@ -46,6 +52,8 @@ class DiscoveryState {
     return receptions_;
   }
 
+  /// False when the pair is not a covered discovery link, including when
+  /// from→to is not an arc at all.
   [[nodiscard]] bool is_covered(net::Link link) const;
 
   /// First-coverage time of a link; requires is_covered(link).
@@ -60,17 +68,19 @@ class DiscoveryState {
   /// with exactly the span channel sets.
   [[nodiscard]] bool table_matches_ground_truth(net::NodeId u) const;
 
- private:
-  [[nodiscard]] std::size_t link_slot(net::NodeId sender,
-                                      net::NodeId receiver) const noexcept;
+  /// Per-arc coverage indexed by net::Network arc id: 1 iff the arc is a
+  /// covered discovery link (0 = uncovered, 2 = not a discovery link).
+  [[nodiscard]] std::span<const std::uint8_t> arc_coverage() const noexcept {
+    return covered_;
+  }
 
+ private:
   const net::Network* network_;
   net::NodeId n_;
   std::size_t total_links_ = 0;
   std::size_t covered_count_ = 0;
   std::size_t receptions_ = 0;
-  // Dense (sender, receiver) matrices. N is at most a few thousand in any
-  // experiment, so N² entries are acceptable and far faster than hashing.
+  // Per-arc state, indexed by arc id: O(arcs), like the network itself.
   std::vector<std::uint8_t> covered_;      // 0/1/2: 2 = not a link
   std::vector<double> first_time_;
   std::vector<std::vector<NeighborRecord>> tables_;

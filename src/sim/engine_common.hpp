@@ -226,23 +226,27 @@ struct Reception {
 
 /// The post-resolution disposition chain, in its one order: jammer noise →
 /// non-responder suppression → loss → Byzantine fake ID → admission gate.
-/// Noise and suppression are not decodable messages, so they consume no
-/// loss draw. `admit(announced)` is the listener policy's admission gate
-/// (paths without policy objects pass one that always admits). The fault
-/// layer's bookkeeping (isolation, fake-table and rediscovery notes, all at
-/// time `t`) happens here; recording an admitted real sender into the
-/// engine's coverage is left to the caller.
+/// `arc` is the union network's arc id of sender → listener, the index of
+/// all per-link fault state. Noise and suppression are not decodable
+/// messages, so they consume no loss draw. `admit(announced)` is the
+/// listener policy's admission gate (paths without policy objects pass one
+/// that always admits). The fault layer's bookkeeping (isolation,
+/// fake-table and rediscovery notes, all at time `t`) happens here;
+/// recording an admitted real sender into the engine's coverage is left to
+/// the caller.
 template <typename Time, typename Admit>
 [[nodiscard]] inline Reception dispose_reception(
     FaultState<Time>& faults, net::NodeId sender, net::NodeId listener,
-    Time t, util::Rng& loss_rng, double loss_probability, Admit&& admit) {
+    std::size_t arc, Time t, util::Rng& loss_rng, double loss_probability,
+    Admit&& admit) {
+  M2HEW_DCHECK(arc != net::Network::kNoArc);
   const AdversaryRole role = faults.role(sender);
   if (role == AdversaryRole::kJammer) return {Disposition::kNoise, sender};
   if (role == AdversaryRole::kNonResponder &&
       faults.suppressed(sender, listener)) {
     return {Disposition::kSuppressed, sender};
   }
-  if (faults.message_lost(sender, listener, loss_rng, loss_probability)) {
+  if (faults.message_lost(arc, loss_rng, loss_probability)) {
     return {Disposition::kLost, sender};
   }
   const bool fake = role == AdversaryRole::kByzantine;
@@ -255,7 +259,7 @@ template <typename Time, typename Admit>
     return {Disposition::kFake, announced,
             faults.note_fake_decode(sender, listener, t)};
   }
-  faults.note_reception(sender, listener, t);
+  faults.note_reception(sender, listener, arc, t);
   return {Disposition::kAdmitted, sender};
 }
 

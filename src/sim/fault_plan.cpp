@@ -52,10 +52,10 @@ FaultState<Time>::FaultState(const net::Network& network,
         reset_pending_[u] = 1;
       }
     }
-    post_recovery_.assign(static_cast<std::size_t>(n_) * n_, -1.0);
+    post_recovery_.assign(network.arc_count(), -1.0);
   }
   if (plan.burst_loss.enabled) {
-    ge_state_.assign(static_cast<std::size_t>(n_) * n_, 0);
+    ge_state_.assign(network.arc_count(), 0);
   }
   if (plan.adversary.enabled()) {
     adversary_ = true;
@@ -165,12 +165,11 @@ bool FaultState<Time>::spectrum_blocked(Time t, net::NodeId u,
 }
 
 template <typename Time>
-bool FaultState<Time>::message_lost(net::NodeId sender, net::NodeId receiver,
-                                    util::Rng& loss_rng, double iid_loss) {
+bool FaultState<Time>::message_lost(std::size_t arc, util::Rng& loss_rng,
+                                    double iid_loss) {
   if (plan_->burst_loss.enabled) {
     const GilbertElliottSpec& ge = plan_->burst_loss;
-    std::uint8_t& s =
-        ge_state_[static_cast<std::size_t>(sender) * n_ + receiver];
+    std::uint8_t& s = ge_state_[arc];
     if (loss_rng.bernoulli(s == 0 ? ge.p_good_to_bad : ge.p_bad_to_good)) {
       s ^= 1u;
     }
@@ -259,7 +258,8 @@ void FaultState<Time>::note_isolation(net::NodeId receiver,
 
 template <typename Time>
 void FaultState<Time>::note_reception(net::NodeId sender,
-                                      net::NodeId receiver, Time t) {
+                                      net::NodeId receiver, std::size_t arc,
+                                      Time t) {
   if (!churn_) return;
   // A link is a rediscovery candidate iff at least one endpoint crashes
   // and every crashed endpoint recovers; the clock starts at the latest
@@ -274,28 +274,19 @@ void FaultState<Time>::note_reception(net::NodeId sender,
     threshold = std::max(threshold, c.recovery);
   }
   if (!relevant || t < threshold) return;
-  double& cell =
-      post_recovery_[static_cast<std::size_t>(sender) * n_ + receiver];
+  double& cell = post_recovery_[arc];
   if (cell < 0.0) cell = static_cast<double>(t);
 }
 
 template <typename Time>
-RobustnessReport FaultState<Time>::assess(const DiscoveryState& state,
+RobustnessReport FaultState<Time>::assess(std::span<const std::uint8_t> covered,
                                           Time end) const {
-  // Neighbor-table entries are exactly the covered in-arcs with the
-  // network span as common channels (see DiscoveryState::record_reception),
-  // so assessing through the coverage oracle is equivalent — and keeps the
-  // DiscoveryState-free SoA kernel on the same code path.
-  return assess_covered(
-      [&state](net::Link link) { return state.is_covered(link); }, end);
-}
-
-template <typename Time>
-RobustnessReport FaultState<Time>::assess_covered(
-    const std::function<bool(net::Link)>& is_covered, Time end) const {
   RobustnessReport r;
   r.enabled = plan_->any();
   if (!r.enabled) return r;
+  M2HEW_CHECK(covered.size() == network_->arc_count());
+  const std::span<const net::Link> links = network_->links();
+  const std::span<const std::size_t> link_arcs = network_->link_arcs();
 
   if (churn_) {
     for (net::NodeId u = 0; u < n_; ++u) {
@@ -319,14 +310,17 @@ RobustnessReport FaultState<Time>::assess_covered(
   r.adversary = adversary_;
   r.adversary_nodes = adversary_count_;
 
+  // The link loops walk links() in order: the order of the floating-point
+  // rediscovery sum is part of the bit-identity contract.
   double rediscovery_sum = 0.0;
-  for (const net::Link link : network_->links()) {
-    const bool covered = is_covered(link);
-    if (covered) ++r.real_entries;
+  for (std::size_t i = 0; i < links.size(); ++i) {
+    const net::Link link = links[i];
+    const bool is_covered = covered[link_arcs[i]] == 1;
+    if (is_covered) ++r.real_entries;
     if (down_at(link.from, end) || down_at(link.to, end)) continue;
     if (blind(link.from) || blind(link.to)) continue;
     ++r.surviving_links;
-    if (covered) ++r.covered_surviving_links;
+    if (is_covered) ++r.covered_surviving_links;
     if (!churn_) continue;
     bool relevant = false;
     Time threshold{};
@@ -340,8 +334,7 @@ RobustnessReport FaultState<Time>::assess_covered(
     }
     if (!relevant) continue;
     ++r.recovered_links;
-    const double t =
-        post_recovery_[static_cast<std::size_t>(link.from) * n_ + link.to];
+    const double t = post_recovery_[link_arcs[i]];
     if (t >= 0.0) {
       ++r.rediscovered_links;
       const double took = t - static_cast<double>(threshold);
@@ -361,13 +354,13 @@ RobustnessReport FaultState<Time>::assess_covered(
   // u exists exactly for each covered link (v, u) and records the span, so
   // covered links stand in for the tables themselves.
   if (churn_ || has_spectrum()) {
-    for (const net::Link link : network_->links()) {
-      if (!is_covered(link)) continue;
-      const net::NodeId v = link.from;
-      const net::NodeId u = link.to;
+    for (std::size_t i = 0; i < links.size(); ++i) {
+      if (covered[link_arcs[i]] != 1) continue;
+      const net::NodeId v = links[i].from;
+      const net::NodeId u = links[i].to;
       bool ghost = down_at(v, end);
       if (!ghost && has_spectrum()) {
-        const net::ChannelSet& common = network_->span(v, u);
+        const net::ChannelSet& common = network_->arc_span(link_arcs[i]);
         if (!common.empty()) {
           ghost = true;
           for (const net::ChannelId c : common.to_vector()) {
@@ -395,10 +388,8 @@ RobustnessReport FaultState<Time>::assess_covered(
         if (!e.evicted) {
           bool aliased = false;
           if (e.id < n_) {
-            const net::ChannelSet* span = network_->in_span(e.id, u);
-            if (span != nullptr && is_covered(net::Link{e.id, u})) {
-              aliased = true;
-            }
+            const std::size_t arc = network_->in_arc(e.id, u);
+            aliased = arc != net::Network::kNoArc && covered[arc] == 1;
           }
           if (!aliased) ++r.fake_entries;
         }

@@ -30,8 +30,9 @@
 // any plan attached.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -411,32 +412,35 @@ class FaultState {
   [[nodiscard]] bool spectrum_blocked(Time t, net::NodeId u,
                                       net::ChannelId c) const;
 
-  /// The loss decision for one otherwise-clear reception on the directed
-  /// link sender → receiver. With burst loss enabled: advance the link's
-  /// Gilbert–Elliott chain (one draw) then draw the state's loss
-  /// probability (one draw). Otherwise: the engines' original i.i.d.
-  /// behaviour — one draw iff iid_loss > 0. Call in listener order only.
-  [[nodiscard]] bool message_lost(net::NodeId sender, net::NodeId receiver,
-                                  util::Rng& loss_rng, double iid_loss);
+  /// The loss decision for one otherwise-clear reception on arc `arc`
+  /// (net::Network arc id of sender → receiver). With burst loss enabled:
+  /// advance the arc's Gilbert–Elliott chain (one draw) then draw the
+  /// state's loss probability (one draw). Otherwise: the engines' original
+  /// i.i.d. behaviour — one draw iff iid_loss > 0. Call in listener order
+  /// only.
+  [[nodiscard]] bool message_lost(std::size_t arc, util::Rng& loss_rng,
+                                  double iid_loss);
 
-  /// Records a clear reception for rediscovery tracking (first reception
-  /// at/after the link's recovery threshold). Cheap no-op without churn.
-  void note_reception(net::NodeId sender, net::NodeId receiver, Time t);
+  /// Records a clear reception on arc `arc` (sender → receiver) for
+  /// rediscovery tracking (first reception at/after the link's recovery
+  /// threshold). Cheap no-op without churn.
+  void note_reception(net::NodeId sender, net::NodeId receiver,
+                      std::size_t arc, Time t);
 
-  /// Computes the robustness metrics against the final discovery state.
-  /// `end` is the engine's last executed slot / last processed event time.
-  [[nodiscard]] RobustnessReport assess(const DiscoveryState& state,
+  /// Computes the robustness metrics against the final coverage, given
+  /// per arc id: covered[a] == 1 iff arc a is a covered discovery link
+  /// (any other value reads as not covered). Neighbor-table entries are
+  /// exactly the covered links with the network spans as common channels
+  /// — the invariant DiscoveryState::record_reception maintains — so
+  /// every engine, with or without a DiscoveryState, assesses through
+  /// this one routine. `end` is the engine's last executed slot / last
+  /// processed event time.
+  [[nodiscard]] RobustnessReport assess(std::span<const std::uint8_t> covered,
                                         Time end) const;
-
-  /// Coverage-oracle form for engines that never materialize a
-  /// DiscoveryState (the SoA kernel keeps only a CSR coverage bitmap):
-  /// `is_covered(link)` answers whether the directed discovery link was
-  /// covered. Neighbor-table entries are reconstructed as exactly the
-  /// covered links with the network spans as common channels — the
-  /// invariant DiscoveryState::record_reception maintains — so this
-  /// produces a report identical to assess() for the same coverage.
-  [[nodiscard]] RobustnessReport assess_covered(
-      const std::function<bool(net::Link)>& is_covered, Time end) const;
+  [[nodiscard]] RobustnessReport assess(const DiscoveryState& state,
+                                        Time end) const {
+    return assess(state.arc_coverage(), end);
+  }
 
  private:
   struct NodeChurn {
@@ -465,8 +469,9 @@ class FaultState {
   std::size_t adversary_count_ = 0;
   std::vector<NodeChurn> schedule_;
   std::vector<std::uint8_t> reset_pending_;
-  std::vector<std::uint8_t> ge_state_;      // n×n; 0 = good, 1 = bad
-  std::vector<double> post_recovery_;       // n×n; first reception ≥ threshold, -1 unset
+  // Per-link state is per arc (net::Network arc id), O(arcs):
+  std::vector<std::uint8_t> ge_state_;  // GE chain state; 0 = good, 1 = bad
+  std::vector<double> post_recovery_;   // first reception ≥ threshold; -1 unset
   std::vector<std::vector<std::uint32_t>> spectrum_cover_;  // PU idx per node
   std::vector<std::uint8_t> role_;              // n; AdversaryRole values
   std::vector<net::ChannelId> jam_channel_;     // n; valid iff kJammer

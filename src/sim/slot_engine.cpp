@@ -212,9 +212,11 @@ SlotEngineResult run_slotted(
           continue;
         }
         // A Byzantine message decodes cleanly but announces a fake ID: the
-        // policy hears the announced ID, never the real arc.
+        // policy hears the announced ID, never the real arc. Per-link state
+        // lives on the union network, so the arc id is resolved there.
+        const std::size_t arc = network.in_arc(heard.sender, u);
         const Reception rx = dispose_reception(
-            faults, heard.sender, u, slot, setup.loss_rng(),
+            faults, heard.sender, u, arc, slot, setup.loss_rng(),
             config.loss_probability,
             [&policy](net::NodeId id) { return policy.admit_neighbor(id); });
         observe_outcome(policy, r, listen_outcome(rx.disposition));
@@ -222,7 +224,7 @@ SlotEngineResult run_slotted(
           observe_heard(policy, r, rx.announced, rx.first_fake);
         } else if (rx.disposition == Disposition::kAdmitted) {
           const bool first_time = result.state.record_reception(
-              heard.sender, u, static_cast<double>(slot));
+              heard.sender, u, arc, static_cast<double>(slot));
           observe_heard(policy, r, heard.sender, first_time);
           if (config.on_reception) {
             config.on_reception(slot, heard.sender, u, c);

@@ -9,31 +9,16 @@
 
 namespace m2hew::sim {
 
-namespace {
-
-[[nodiscard]] std::size_t find_arc(const std::vector<std::size_t>& offsets,
-                                   const std::vector<net::NodeId>& sources,
-                                   net::Link link) {
-  const auto begin = sources.begin() +
-                     static_cast<std::ptrdiff_t>(offsets[link.to]);
-  const auto end = sources.begin() +
-                   static_cast<std::ptrdiff_t>(offsets[link.to + 1]);
-  const auto it = std::lower_bound(begin, end, link.from);
-  M2HEW_CHECK_MSG(it != end && *it == link.from,
-                  "pair is not an arc of the network");
-  return static_cast<std::size_t>(it - sources.begin());
-}
-
-}  // namespace
-
 bool SoaSlotKernelResult::is_covered(net::Link link) const {
-  return covered[find_arc(in_offsets, in_sources, link)] != 0;
+  M2HEW_CHECK(link.from < network->node_count() &&
+              link.to < network->node_count());
+  const std::size_t arc = network->in_arc(link.from, link.to);
+  return arc != net::Network::kNoArc && covered[arc] != 0;
 }
 
 double SoaSlotKernelResult::first_coverage_slot(net::Link link) const {
-  const std::size_t arc = find_arc(in_offsets, in_sources, link);
-  M2HEW_CHECK_MSG(covered[arc] != 0, "link not covered yet");
-  return first_slot[arc];
+  M2HEW_CHECK_MSG(is_covered(link), "link not covered yet");
+  return first_slot[network->in_arc(link.from, link.to)];
 }
 
 SoaSlotKernel::SoaSlotKernel(const net::Network& network)
@@ -105,10 +90,9 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   const bool has_interference = jammed.any();
 
   SoaSlotKernelResult result;
+  result.network = network_;
   result.activity.assign(n, RadioActivity{});
   result.total_links = total_links_;
-  result.in_offsets = in_off_;
-  result.in_sources = in_src_;
   result.covered.assign(in_src_.size(), 0);
   result.first_slot.assign(in_src_.size(), -1.0);
 
@@ -253,8 +237,8 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
       // so nothing is refused (equivalence legs run untrusted); a Byzantine
       // message lands in the fault layer's fake table, never in the
       // coverage arrays.
-      if (dispose_reception(faults, sender, u, slot, streams.loss_rng(),
-                            config.loss_probability,
+      if (dispose_reception(faults, sender, u, sender_arc, slot,
+                            streams.loss_rng(), config.loss_probability,
                             [](net::NodeId) { return true; })
               .disposition != Disposition::kAdmitted) {
         continue;
@@ -275,8 +259,8 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
     }
   }
 
-  result.robustness = faults.assess_covered(
-      [&result](net::Link link) { return result.is_covered(link); },
+  result.robustness = faults.assess(
+      result.covered,
       result.slots_executed == 0 ? 0 : result.slots_executed - 1);
   return result;
 }

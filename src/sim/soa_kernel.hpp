@@ -3,8 +3,8 @@
 // claims live in.
 //
 // run_slot_engine pays, per node per slot, a virtual policy dispatch and
-// (per trial) a heap-allocated policy object, and its DiscoveryState is a
-// dense N² matrix. This kernel replaces all three:
+// (per trial) a heap-allocated policy object plus a DiscoveryState with
+// per-node neighbor tables. This kernel replaces all three:
 //
 //   * policy-as-data  — per-node flat arrays (stage counter, stage length,
 //     degree estimate) stepped against a precomputed probability matrix
@@ -12,8 +12,9 @@
 //     allocations;
 //   * word-level spans — each in-arc's span is a flat span-of-words slice;
 //     the reception scan tests channel membership with one shift/mask;
-//   * CSR coverage    — covered/first-slot live per in-arc position in the
-//     network's in-link CSR order, O(arcs) not O(N²);
+//   * arc coverage    — covered/first-slot are per-arc arrays indexed by
+//     the network's arc id (net::Network::in_arc), the same numbering the
+//     fault layer's per-link state uses; O(arcs);
 //   * per-trial arena — every array is sized at construction and reused
 //     across run() calls; steady-state slots allocate nothing.
 //
@@ -39,10 +40,14 @@
 
 namespace m2hew::sim {
 
-/// Result of one SoA-kernel trial. Mirrors SlotEngineResult, with the N²
-/// DiscoveryState replaced by CSR-indexed coverage (position = index into
-/// the receiver's in-link list, offset by in_offsets[receiver]).
+/// Result of one SoA-kernel trial. Mirrors SlotEngineResult, with the
+/// DiscoveryState replaced by per-arc coverage indexed by the network's
+/// arc id.
 struct SoaSlotKernelResult {
+  /// The network the kernel was flattened from (the union network under a
+  /// topology provider); resolves links to arc ids, so it must outlive
+  /// is_covered/first_coverage_slot calls.
+  const net::Network* network = nullptr;
   bool complete = false;
   std::uint64_t completion_slot = 0;
   std::uint64_t slots_executed = 0;
@@ -53,15 +58,13 @@ struct SoaSlotKernelResult {
   std::uint64_t covered_links = 0;
   std::uint64_t receptions = 0;
 
-  /// In-link CSR mirror: arc a of receiver u (sources sorted ascending)
-  /// sits at position in_offsets[u] + a; in_sources names the sender.
-  std::vector<std::size_t> in_offsets;
-  std::vector<net::NodeId> in_sources;
-  /// Per arc position: 1 iff the link was covered, and the global slot of
-  /// its first coverage (-1.0 while uncovered).
+  /// Per arc id: 1 iff the link was covered, and the global slot of its
+  /// first coverage (-1.0 while uncovered).
   std::vector<std::uint8_t> covered;
   std::vector<double> first_slot;
 
+  /// False when the pair is not a covered discovery link, including when
+  /// from→to is not an arc at all (as DiscoveryState::is_covered).
   [[nodiscard]] bool is_covered(net::Link link) const;
   /// First-coverage slot of a covered link; requires is_covered(link).
   [[nodiscard]] double first_coverage_slot(net::Link link) const;
@@ -96,9 +99,9 @@ class SoaSlotKernel {
   // Immutable per-network flattening.
   std::vector<std::size_t> avail_off_;      // n+1
   std::vector<net::ChannelId> avail_flat_;  // A(u) members, ascending
-  std::vector<std::size_t> in_off_;         // n+1
-  std::vector<net::NodeId> in_src_;         // arc → sender
-  std::vector<std::uint64_t> span_words_;   // arc → span bitset slice
+  std::vector<std::size_t> in_off_;         // n+1; u's arcs: ids [u, u+1)
+  std::vector<net::NodeId> in_src_;         // arc id → sender
+  std::vector<std::uint64_t> span_words_;   // arc id → span bitset slice
 
   // Per-trial state, sized once and reset at each run().
   std::vector<Mode> mode_;

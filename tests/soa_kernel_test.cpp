@@ -10,6 +10,7 @@
 // the indexed reception path to the reference scan.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <vector>
@@ -381,6 +382,204 @@ TEST(SoaKernelTrials, SerialMatchesParallelUnderSoa) {
   config.threads = 4;
   const auto parallel = runner::run_sync_trials(network, spec_for(4), config);
   expect_same_stats(serial, parallel);
+}
+
+// Both coverage APIs answer false for a pair that is not a discovery link
+// — a non-arc as well as an arc whose span is empty — and agree on every
+// ordered pair. first_coverage_* still require a covered link.
+TEST(SoaKernel, CoverageOfNonArcIsFalseOnBothPaths) {
+  // Path 0-1-2-3; node 3 shares no channel with node 2, so 2<->3 are arcs
+  // without a discovery link, and 0->2 is no arc at all.
+  net::Topology topology(4);
+  topology.add_edge(0, 1);
+  topology.add_edge(1, 2);
+  topology.add_edge(2, 3);
+  const net::Network network(
+      std::move(topology),
+      {net::ChannelSet(3, {0, 1}), net::ChannelSet(3, {0, 1}),
+       net::ChannelSet(3, {0, 1}), net::ChannelSet(3, {2})});
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm2();
+  sim::SlotEngineConfig config;
+  config.max_slots = 200;
+  config.seed = 3;
+
+  const auto engine =
+      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  const auto soa = sim::run_soa_slot_kernel(
+      network, core::build_soa_policy_table(network, spec), config);
+
+  for (const net::Link pair : {net::Link{0, 2}, net::Link{2, 0},
+                               net::Link{0, 3}, net::Link{2, 3},
+                               net::Link{3, 2}}) {
+    EXPECT_FALSE(engine.state.is_covered(pair))
+        << pair.from << "->" << pair.to;
+    EXPECT_FALSE(soa.is_covered(pair)) << pair.from << "->" << pair.to;
+  }
+  for (net::NodeId a = 0; a < 4; ++a) {
+    for (net::NodeId b = 0; b < 4; ++b) {
+      if (a == b) continue;
+      EXPECT_EQ(engine.state.is_covered({a, b}), soa.is_covered({a, b}))
+          << a << "->" << b;
+    }
+  }
+  EXPECT_DEATH((void)soa.first_coverage_slot({0, 2}), "CHECK failed");
+}
+
+// --- Contracts at the claimed scale ---------------------------------------
+//
+// engine==soa and serial==parallel on a bucketed unit-disk network with
+// mean degree ~6 under churn, burst loss and a mixed adversary plan.
+// M2HEW_SCALE_N sets the node count (as M2HEW_SOAK_SEED shifts the soak
+// seeds); the default keeps the suite fast, and a scheduled CI job runs
+// N = 100,000 under a peak-RSS ceiling.
+[[nodiscard]] net::NodeId scale_n() {
+  const char* env = std::getenv("M2HEW_SCALE_N");
+  return env == nullptr
+             ? 2000
+             : static_cast<net::NodeId>(std::strtoull(env, nullptr, 10));
+}
+
+constexpr std::uint64_t kScaleSlots = 200;
+
+[[nodiscard]] net::Network scale_network(net::NodeId n) {
+  util::Rng rng(0x5CA1E + soak_offset());
+  // Side sqrt(N) and radius 1.382: pi * r^2 ~ 6 neighbors per node.
+  net::Topology topology =
+      net::make_unit_disk_bucketed(
+          n, std::sqrt(static_cast<double>(n)), 1.382, rng)
+          .topology;
+  return net::Network(std::move(topology),
+                      net::uniform_random_assignment(n, 6, 3, rng));
+}
+
+[[nodiscard]] sim::SlotEngineConfig scale_config(std::uint64_t seed) {
+  sim::SlotEngineConfig config;
+  config.max_slots = kScaleSlots;
+  config.seed = seed;
+  // The indexed medium tests every same-channel transmitter in the network
+  // against each listener, O(N) per listener; the reference in-link scan
+  // is O(in-degree) and bit-identical to it by contract.
+  config.indexed_reception = false;
+  config.faults.churn = {0.3, 20, 100, 10, 60, true};
+  config.faults.burst_loss = {true, 0.05, 0.2, 0.02, 0.8};
+  config.faults.adversary.fraction = 0.1;
+  config.faults.adversary.attack = sim::AdversaryAttack::kMix;
+  config.faults.adversary.byzantine_tx = 0.6;
+  return config;
+}
+
+TEST(SoaKernelAtScale, MatchesSlotEngine) {
+  const net::Network network = scale_network(scale_n());
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
+  const sim::SlotEngineConfig config = scale_config(17 + soak_offset());
+
+  const auto engine =
+      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  const auto soa = sim::run_soa_slot_kernel(
+      network, core::build_soa_policy_table(network, spec), config);
+
+  EXPECT_EQ(engine.complete, soa.complete);
+  EXPECT_EQ(engine.completion_slot, soa.completion_slot);
+  EXPECT_EQ(engine.slots_executed, soa.slots_executed);
+  ASSERT_EQ(engine.activity.size(), soa.activity.size());
+  for (std::size_t u = 0; u < engine.activity.size(); ++u) {
+    ASSERT_EQ(engine.activity[u].transmit, soa.activity[u].transmit) << u;
+    ASSERT_EQ(engine.activity[u].receive, soa.activity[u].receive) << u;
+    ASSERT_EQ(engine.activity[u].quiet, soa.activity[u].quiet) << u;
+  }
+  EXPECT_GT(soa.covered_links, 0u);
+  EXPECT_EQ(engine.state.covered_links(),
+            static_cast<std::size_t>(soa.covered_links));
+  EXPECT_EQ(engine.state.reception_count(),
+            static_cast<std::size_t>(soa.receptions));
+  for (const net::Link link : network.links()) {
+    ASSERT_EQ(engine.state.is_covered(link), soa.is_covered(link))
+        << "link " << link.from << "->" << link.to;
+    if (engine.state.is_covered(link)) {
+      ASSERT_EQ(engine.state.first_coverage_time(link),
+                soa.first_coverage_slot(link))
+          << "link " << link.from << "->" << link.to;
+    }
+  }
+  EXPECT_TRUE(soa.robustness.adversary);
+  EXPECT_GT(soa.robustness.recovered_links, 0u);
+  expect_same_robustness(engine.robustness, soa.robustness);
+}
+
+void expect_same_samples(const util::Samples& a, const util::Samples& b) {
+  ASSERT_EQ(a.count(), b.count());
+  for (std::size_t i = 0; i < a.count(); ++i) {
+    EXPECT_EQ(a.values()[i], b.values()[i]) << "sample " << i;
+  }
+}
+
+void expect_same_robustness_stats(const runner::RobustnessStats& a,
+                                  const runner::RobustnessStats& b) {
+  EXPECT_EQ(a.fault_trials, b.fault_trials);
+  expect_same_samples(a.surviving_recall, b.surviving_recall);
+  expect_same_samples(a.ghost_entries, b.ghost_entries);
+  expect_same_samples(a.rediscovery_times, b.rediscovery_times);
+  EXPECT_EQ(a.recovered_links, b.recovered_links);
+  EXPECT_EQ(a.rediscovered_links, b.rediscovered_links);
+  EXPECT_EQ(a.adversary_trials, b.adversary_trials);
+  expect_same_samples(a.precision_under_attack, b.precision_under_attack);
+  expect_same_samples(a.isolation_times, b.isolation_times);
+  EXPECT_EQ(a.fake_entries, b.fake_entries);
+  EXPECT_EQ(a.isolated_fakes, b.isolated_fakes);
+  EXPECT_EQ(a.honest_isolated, b.honest_isolated);
+}
+
+// Per-trial, per-arc first-coverage slots recorded through on_reception
+// (each trial writes only its own row, so the hook is worker-safe).
+struct ScaleRun {
+  runner::SyncTrialStats stats;
+  std::vector<std::vector<double>> first;  // [trial][arc id]
+};
+
+[[nodiscard]] ScaleRun run_scale_trials(const net::Network& network,
+                                        runner::SyncKernel kernel,
+                                        std::size_t threads) {
+  constexpr std::size_t kTrials = 3;
+  ScaleRun run;
+  run.first.assign(kTrials, std::vector<double>(network.arc_count(), -1.0));
+  runner::SyncTrialConfig config;
+  config.trials = kTrials;
+  config.seed = 23 + soak_offset();
+  config.threads = threads;
+  config.kernel = kernel;
+  config.engine = scale_config(0);
+  config.per_trial = [&](std::size_t t, sim::SlotEngineConfig& engine) {
+    std::vector<double>* first = &run.first[t];
+    engine.on_reception = [&network, first](std::uint64_t slot,
+                                            net::NodeId from, net::NodeId to,
+                                            net::ChannelId) {
+      double& cell = (*first)[network.in_arc(from, to)];
+      if (cell < 0.0) cell = static_cast<double>(slot);
+    };
+  };
+  run.stats = runner::run_sync_trials(
+      network, core::SyncPolicySpec::algorithm3(8), config);
+  return run;
+}
+
+TEST(SoaKernelAtScale, SerialMatchesParallelOnBothKernels) {
+  const net::Network network = scale_network(scale_n());
+  const ScaleRun soa_serial =
+      run_scale_trials(network, runner::SyncKernel::kSoa, 1);
+  const ScaleRun soa_parallel =
+      run_scale_trials(network, runner::SyncKernel::kSoa, 4);
+  const ScaleRun engine_parallel =
+      run_scale_trials(network, runner::SyncKernel::kEngine, 4);
+
+  EXPECT_EQ(soa_serial.stats.robustness.fault_trials, 3u);
+  EXPECT_EQ(soa_parallel.stats.threads_used, 3u);
+  for (const ScaleRun* other : {&soa_parallel, &engine_parallel}) {
+    expect_same_stats(soa_serial.stats, other->stats);
+    expect_same_robustness_stats(soa_serial.stats.robustness,
+                                 other->stats.robustness);
+    EXPECT_TRUE(soa_serial.first == other->first)
+        << "per-link first coverage differs";
+  }
 }
 
 }  // namespace
