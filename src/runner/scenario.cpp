@@ -7,6 +7,7 @@
 #include "net/primary_user.hpp"
 #include "net/propagation.hpp"
 #include "net/topology_gen.hpp"
+#include "runner/knobs.hpp"
 #include "runner/trials.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -166,26 +167,13 @@ std::unique_ptr<net::EpochTopologyProvider> build_mobility_provider(
       "need 1 <= duty_on <= duty_period");
 
   // Same assignment stream as build_scenario (derive(0xBEEF)); positions
-  // come from the mobility model, so the topology draw is skipped.
+  // come from the mobility model, so the topology draw is skipped, and
+  // there is no topology to retry nonempty spans against.
   util::Rng rng(util::SeedSequence(seed).derive(0xBEEF));
-  net::ChannelAssignment assignment;
-  switch (config.channels) {
-    case ChannelKind::kHomogeneous:
-      assignment =
-          net::homogeneous_assignment(config.n, config.universe,
-                                      config.set_size);
-      break;
-    case ChannelKind::kUniformRandom:
-      assignment = net::uniform_random_assignment(config.n, config.universe,
-                                                  config.set_size, rng);
-      break;
-    case ChannelKind::kVariableRandom:
-      assignment = net::variable_size_random_assignment(
-          config.n, config.universe, config.min_size, config.max_size, rng);
-      break;
-    default:
-      M2HEW_CHECK_MSG(false, "unreachable channel kind");
-  }
+  ScenarioConfig channels_only = config;
+  channels_only.require_nonempty_spans = false;
+  net::ChannelAssignment assignment =
+      build_channels(channels_only, BuiltTopology{}, rng);
 
   net::MobilityConfig mc;
   mc.nodes = config.n;
@@ -218,30 +206,24 @@ std::string describe_mobility(const MobilitySpec& mobility) {
 }
 
 std::string describe(const ScenarioConfig& c) {
-  auto topo = [&]() -> std::string {
-    switch (c.topology) {
-      case TopologyKind::kLine:
-        return "line";
-      case TopologyKind::kRing:
-        return "ring";
-      case TopologyKind::kGrid:
-        return "grid";
-      case TopologyKind::kStar:
-        return "star";
-      case TopologyKind::kClique:
-        return "clique";
-      case TopologyKind::kErdosRenyi:
-        return "erdos-renyi(p=" + std::to_string(c.er_edge_probability) + ")";
-      case TopologyKind::kUnitDisk:
-        return "unit-disk(r=" + std::to_string(c.ud_radius) + ")";
-      case TopologyKind::kWattsStrogatz:
-        return "watts-strogatz(k=" + std::to_string(c.ws_k) +
-               ",beta=" + std::to_string(c.ws_beta) + ")";
-      case TopologyKind::kBarabasiAlbert:
-        return "barabasi-albert(m=" + std::to_string(c.ba_m) + ")";
-    }
-    return "?";
-  }();
+  std::string topo(name_of(c.topology));
+  switch (c.topology) {
+    case TopologyKind::kErdosRenyi:
+      topo += "(p=" + std::to_string(c.er_edge_probability) + ")";
+      break;
+    case TopologyKind::kUnitDisk:
+      topo += "(r=" + std::to_string(c.ud_radius) + ")";
+      break;
+    case TopologyKind::kWattsStrogatz:
+      topo += "(k=" + std::to_string(c.ws_k) +
+              ",beta=" + std::to_string(c.ws_beta) + ")";
+      break;
+    case TopologyKind::kBarabasiAlbert:
+      topo += "(m=" + std::to_string(c.ba_m) + ")";
+      break;
+    default:
+      break;
+  }
   auto chan = [&]() -> std::string {
     switch (c.channels) {
       case ChannelKind::kHomogeneous:
@@ -339,50 +321,6 @@ std::string describe(const ScenarioConfig& config,
     text += " workers=" + std::to_string(process_workers);
   }
   return text;
-}
-
-std::string describe_policy(std::string_view algorithm,
-                            std::size_t delta_est) {
-  const std::string name(algorithm);
-  const std::string with_delta =
-      " (delta_est=" + std::to_string(delta_est) + ")";
-  if (algorithm == "alg1") {
-    return name + ": paper Algorithm 1, staged" + with_delta;
-  }
-  if (algorithm == "alg2") {
-    return name + ": paper Algorithm 2, escalating estimate d+=1";
-  }
-  if (algorithm == "alg2x") {
-    return name + ": paper Algorithm 2, doubling-estimate ablation";
-  }
-  if (algorithm == "alg3") {
-    return name + ": paper Algorithm 3, constant probability" + with_delta;
-  }
-  if (algorithm == "alg4") {
-    return name + ": paper Algorithm 4, asynchronous frames" + with_delta;
-  }
-  if (algorithm == "baseline") {
-    return name + ": universal-channel round-robin strawman";
-  }
-  if (algorithm == "deterministic") {
-    return name + ": TDMA-by-identifier deterministic baseline";
-  }
-  if (algorithm == "adaptive") {
-    return name + ": collision-feedback adaptive-degree extension";
-  }
-  if (algorithm == "mcdis") {
-    return name + ": competitor Mc-Dis prime-pair duty cycling "
-                  "(arXiv:1307.3630)";
-  }
-  if (algorithm == "rendezvous") {
-    return name + ": competitor deterministic blind rendezvous, jump-stay "
-                  "(arXiv:1401.7313)";
-  }
-  if (algorithm == "consistent-hop") {
-    return name + ": competitor consistent channel hopping "
-                  "(arXiv:2506.18381)";
-  }
-  return name + " (unknown policy)";
 }
 
 }  // namespace m2hew::runner

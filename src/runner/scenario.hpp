@@ -5,7 +5,6 @@
 
 #include <memory>
 #include <string>
-#include <string_view>
 
 #include "net/network.hpp"
 #include "net/topology_provider.hpp"
@@ -142,13 +141,5 @@ enum class SyncKernel;  // runner/trials.hpp
 /// Mobility suffix for report lines (" mobility=rwp(...) duty=a/b");
 /// empty when the spec is disabled, so callers append unconditionally.
 [[nodiscard]] std::string describe_mobility(const MobilitySpec& mobility);
-
-/// One-line description of a policy/algorithm name as the front ends
-/// spell it (--algorithm=/--policy= values, INI `algorithm =`): the
-/// paper's algorithms, the repo baselines, and the competitor policies
-/// from the related literature (core/competitors.hpp). Unknown names
-/// come back as "<name> (unknown policy)" so report lines never lie.
-[[nodiscard]] std::string describe_policy(std::string_view algorithm,
-                                          std::size_t delta_est);
 
 }  // namespace m2hew::runner

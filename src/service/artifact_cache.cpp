@@ -60,8 +60,7 @@ void write_sweep_artifact(std::ostream& out, const SweepSpec& spec,
   params.emplace_back("algorithm", spec.algorithm);
   params.emplace_back("trials_per_point", std::to_string(spec.trials));
   params.emplace_back("seed", std::to_string(spec.seed));
-  params.emplace_back(
-      "kernel", spec.kernel == runner::SyncKernel::kSoa ? "soa" : "engine");
+  params.emplace_back("kernel", runner::name_of(spec.kernel));
   params.emplace_back("workers", std::to_string(result.workers));
   params.emplace_back("scenario_hash", scenario_hash_hex(spec));
   params.emplace_back("binary_version", binary_version());

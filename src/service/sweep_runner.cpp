@@ -9,19 +9,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string_view>
 
-#include "core/adaptive.hpp"
-#include "core/algorithms.hpp"
-#include "core/competitors.hpp"
-#include "core/duty_cycle.hpp"
 #include "core/policy_spec.hpp"
-#include "core/trust.hpp"
-#include "net/topology_provider.hpp"
 #include "service/daemon.hpp"
-#include "runner/scenario_kv.hpp"
 #include "runner/streaming.hpp"
 #include "sim/slot_engine.hpp"
 #include "sim/soa_kernel.hpp"
@@ -39,57 +31,13 @@ using Clock = std::chrono::steady_clock;
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-[[nodiscard]] bool is_spec_algorithm(std::string_view algorithm) {
-  return algorithm == "alg1" || algorithm == "alg2" || algorithm == "alg2x" ||
-         algorithm == "alg3" || algorithm == "consistent-hop";
-}
-
-[[nodiscard]] core::SyncPolicySpec make_policy_spec(const SweepSpec& spec) {
-  if (spec.algorithm == "alg1") {
-    return core::SyncPolicySpec::algorithm1(spec.delta_est);
-  }
-  if (spec.algorithm == "alg2") return core::SyncPolicySpec::algorithm2();
-  if (spec.algorithm == "alg2x") {
-    return core::SyncPolicySpec::algorithm2(core::EstimateSchedule::kDouble);
-  }
-  if (spec.algorithm == "consistent-hop") {
-    return core::SyncPolicySpec::consistent_hop();
-  }
-  return core::SyncPolicySpec::algorithm3(spec.delta_est);
-}
-
-[[nodiscard]] sim::SyncPolicyFactory make_factory(const SweepSpec& spec) {
-  if (spec.algorithm == "adaptive") return core::make_adaptive();
-  if (spec.algorithm == "mcdis") return core::make_mcdis();
-  if (spec.algorithm == "rendezvous") return core::make_blind_rendezvous();
-  // parse_sweep_spec admits exactly one other non-spec algorithm.
-  return core::make_universal_baseline(spec.scenario.universe, 0.5);
-}
-
-/// The policy a factory-path sweep spec runs: the spec's algorithm wrapped
-/// in its duty cycle and trust gate. Duty cycling and trust wrap policy
-/// objects, so they ride the factory path only; parse_sweep_spec rejects
-/// SoA specs asking for either. Both wrappers are the identity when off,
-/// so this costs nothing for plain specs.
-[[nodiscard]] sim::SyncPolicyFactory sweep_factory(
-    const SweepSpec& spec, const core::SyncPolicySpec* pspec) {
-  const bool duty = spec.mobility.enabled;
-  return core::with_trust(
-      core::with_duty_cycle(pspec != nullptr
-                                ? core::make_policy_factory(*pspec)
-                                : make_factory(spec),
-                            duty ? spec.mobility.duty_on : 1,
-                            duty ? spec.mobility.duty_period : 1),
-      spec.trust);
-}
-
 /// Runs the trials in `indices` serially — engine seed derive(root, t) for
 /// trial t, exactly as the batch runner seeds them — and emits one wire
 /// record each. Shared by the worker children and the parent's
 /// crash-recovery path, so both produce identical records.
 void run_trial_subset(
     const net::Network& network, const SweepSpec& spec,
-    const core::SyncPolicySpec* pspec, const sim::SoaPolicyTable* table,
+    const sim::SoaPolicyTable* table,
     const sim::SlotEngineConfig& engine_base,
     const std::vector<std::size_t>& indices,
     const std::function<void(const runner::TrialOutcomeRecord&)>& emit) {
@@ -99,7 +47,7 @@ void run_trial_subset(
   if (table != nullptr) {
     kernel.emplace(network);
   } else {
-    factory = sweep_factory(spec, pspec);
+    factory = runner::spec_factory(spec, spec.scenario.universe);
   }
   for (const std::size_t t : indices) {
     sim::SlotEngineConfig engine = engine_base;
@@ -140,7 +88,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
 
 [[nodiscard]] bool run_point_sharded(
     const net::Network& network, const SweepSpec& spec,
-    const core::SyncPolicySpec* pspec, const sim::SoaPolicyTable* table,
+    const sim::SoaPolicyTable* table,
     const sim::SlotEngineConfig& engine_base, std::size_t workers,
     runner::SyncTrialStats& out, std::string* error) {
   const auto start = Clock::now();
@@ -158,7 +106,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
       // trials through the parent's missing-trials recovery.
       bool pipe_ok = true;
       std::size_t emitted = 0;
-      run_trial_subset(network, spec, pspec, table, engine_base, mine,
+      run_trial_subset(network, spec, table, engine_base, mine,
                        [&](const runner::TrialOutcomeRecord& record) {
                          if (!pipe_ok) return;
                          const std::string line =
@@ -211,36 +159,12 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
         "sweep: %zu of %zu worker(s) died mid-shard; re-running %zu missing "
         "trial(s) in-process",
         workers - end_markers, workers, missing.size());
-    run_trial_subset(network, spec, pspec, table, engine_base, missing,
+    run_trial_subset(network, spec, table, engine_base, missing,
                      [&](const runner::TrialOutcomeRecord& record) {
                        reducer.offer(record);
                      });
   }
   out = reducer.finish(seconds_since(start), workers);
-  return true;
-}
-
-/// Rejects configurations build_scenario would CHECK-abort on, with a
-/// message instead (the daemon survives; the job fails).
-[[nodiscard]] bool validate_buildable(const runner::ScenarioConfig& scenario,
-                                      std::string* error) {
-  if (scenario.channels == runner::ChannelKind::kChainOverlap &&
-      scenario.topology != runner::TopologyKind::kLine) {
-    *error = "channels = chain requires topology = line";
-    return false;
-  }
-  if (scenario.topology == runner::TopologyKind::kGrid) {
-    const net::NodeId rows = scenario.grid_rows != 0 ? scenario.grid_rows : 2;
-    if (rows == 0 || scenario.n % rows != 0) {
-      *error = "grid topology: n must be divisible by grid-rows";
-      return false;
-    }
-  }
-  if (scenario.channels == runner::ChannelKind::kPrimaryUsers &&
-      scenario.topology != runner::TopologyKind::kUnitDisk) {
-    *error = "channels = primary-users requires topology = unit-disk";
-    return false;
-  }
   return true;
 }
 
@@ -251,9 +175,6 @@ bool run_sweep(const SweepSpec& spec, std::size_t workers,
   result = SweepResult{};
   result.workers = workers == 0 ? 1 : workers;
 
-  const bool spec_algorithm = is_spec_algorithm(spec.algorithm);
-  core::SyncPolicySpec pspec;
-  if (spec_algorithm) pspec = make_policy_spec(spec);
 
   for (const double value : spec.sweep_values) {
     if (shutdown_requested()) {
@@ -263,36 +184,13 @@ bool run_sweep(const SweepSpec& spec, std::size_t workers,
       *error = "interrupted by shutdown";
       return false;
     }
-    runner::ScenarioConfig scenario = spec.scenario;
-    if (!spec.sweep_key.empty()) {
-      if (!runner::apply_scenario_setting(scenario, spec.sweep_key,
-                                          format_sweep_value(value), error)) {
-        return false;
-      }
-    }
-    if (!validate_buildable(scenario, error)) return false;
-
     // Mobile specs run every engine on the provider's union network; the
     // per-epoch link sets ride along inside the engine config. The daemon
     // reports completion/robustness only (encounter metrics are a batch
     // front-end feature — the wire format stays unchanged).
-    std::unique_ptr<net::EpochTopologyProvider> provider;
-    std::optional<net::Network> static_network;
-    if (spec.mobility.enabled) {
-      provider =
-          runner::build_mobility_provider(scenario, spec.mobility, spec.seed);
-    } else {
-      static_network.emplace(runner::build_scenario(scenario, spec.seed));
-    }
-    const net::Network& network =
-        provider != nullptr ? provider->union_network() : *static_network;
-    sim::SlotEngineConfig engine;
-    engine.max_slots = spec.max_slots;
-    engine.faults = spec.faults;
-    if (provider != nullptr) {
-      engine.topology = provider.get();
-      engine.epoch_length = spec.mobility.epoch_slots;
-    }
+    runner::SweepPoint point;
+    if (!runner::build_sweep_point(spec, value, point, error)) return false;
+    const net::Network& network = point.network();
 
     runner::SyncTrialStats stats;
     // Never more processes than trials: surplus shards would be empty.
@@ -303,25 +201,18 @@ bool run_sweep(const SweepSpec& spec, std::size_t workers,
       trial.trials = spec.trials;
       trial.seed = spec.seed;
       trial.threads = 1;  // the service's unit of fan-out is the process
-      trial.engine = engine;
-      trial.kernel = spec.kernel;
-      // Only the spec overload can run the SoA kernel (parse_sweep_spec
-      // admits kernel = soa for wrapper-free spec algorithms only); every
-      // engine-kernel spec runs the one sweep factory.
-      stats = spec.kernel == runner::SyncKernel::kSoa
-                  ? runner::run_sync_trials(network, pspec, trial)
-                  : runner::run_sync_trials(
-                        network,
-                        sweep_factory(spec, spec_algorithm ? &pspec : nullptr),
-                        trial);
+      trial.engine = point.engine;
+      stats = runner::run_spec_trials(network, spec, trial,
+                                      spec.scenario.universe);
     } else {
       const bool soa = spec.kernel == runner::SyncKernel::kSoa;
       sim::SoaPolicyTable table;
-      if (soa) table = core::build_soa_policy_table(network, pspec);
-      if (!run_point_sharded(network, spec,
-                             spec_algorithm ? &pspec : nullptr,
-                             soa ? &table : nullptr, engine, point_workers,
-                             stats, error)) {
+      if (soa) {
+        table = core::build_soa_policy_table(network,
+                                             *runner::policy_spec(spec));
+      }
+      if (!run_point_sharded(network, spec, soa ? &table : nullptr,
+                             point.engine, point_workers, stats, error)) {
         return false;
       }
     }

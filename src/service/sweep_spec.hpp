@@ -1,11 +1,10 @@
 // SweepSpec: the resolved form of a sweep-definition INI file — the same
 // format tools/m2hew_experiment reads — as consumed by the sweep service.
 //
-// Parsing is strict where the batch tool is lenient: unknown sections and
-// keys are rejected with a one-line message instead of silently ignored,
-// because a daemon cannot ask the submitter "did you mean set-size?" at a
-// terminal. Parsing never aborts the process; every failure is reported
-// through the error out-parameter (the daemon must survive bad specs).
+// Parsing rejects unknown sections and keys and out-of-range values with
+// a one-line message, because a daemon cannot ask the submitter "did you
+// mean set-size?" at a terminal, and it never aborts the process (the
+// daemon must survive bad specs).
 //
 // The spec also defines its own identity: scenario_hash() keys the
 // content-addressed artifact cache. The hash is taken over the RESOLVED
@@ -19,56 +18,18 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
-#include "core/trust.hpp"
-#include "runner/scenario.hpp"
-#include "runner/trials.hpp"
-#include "sim/fault_plan.hpp"
-
-namespace m2hew::util {
-class IniFile;
-}
+#include "runner/knobs.hpp"
 
 namespace m2hew::service {
 
-struct SweepSpec {
-  std::string name = "experiment";
-  std::string algorithm = "alg3";  ///< alg1|alg2|alg2x|alg3|adaptive|baseline
-  std::size_t delta_est = 8;
-  std::size_t trials = 30;
-  std::uint64_t seed = 1;          ///< root seed; trial t uses derive(t)
-  std::uint64_t max_slots = 1'000'000;
-  runner::SyncKernel kernel = runner::SyncKernel::kEngine;
-  std::string sweep_key;           ///< empty = single point
-  std::vector<double> sweep_values;  ///< one 0.0 entry when no sweep-key
-  runner::ScenarioConfig scenario;
-  sim::SlotFaultPlan faults;
-  /// Optional [mobility] section (random-waypoint epoch dynamics). When
-  /// enabled the runner builds an epoch topology provider per point and
-  /// reports encounter metrics alongside completion statistics.
-  runner::MobilitySpec mobility;
-  /// Optional [adversary] section: the attack itself lands in
-  /// faults.adversary; this is the trust-maintenance defence (engine
-  /// kernel only — trust wraps policy objects).
-  core::TrustConfig trust;
-
-  /// Deterministic rendering of every effective field, fixed order,
-  /// hexfloat doubles. This — not the submitted file text — is what gets
-  /// hashed, so default-vs-explicit spellings of the same run coincide.
-  [[nodiscard]] std::string canonical() const;
-};
-
-/// Renders a sweep value the way the scenario key-value vocabulary reads
-/// it back: integral values without a decimal point, others via %g.
-/// Shared by spec validation and the sweep runner so both apply
-/// bit-identical settings.
-[[nodiscard]] std::string format_sweep_value(double value);
-
-/// Parses and validates a spec file. On failure returns false with a
-/// one-line message in *error and leaves `spec` unspecified; never aborts.
-[[nodiscard]] bool parse_sweep_spec(const util::IniFile& ini, SweepSpec& spec,
-                                    std::string* error);
+/// The spec struct, its parser and format_sweep_value are defined by the
+/// knob table (runner/knobs.hpp), which every front end shares; parsing
+/// is strict and never aborts — every failure is a one-line message
+/// naming the key.
+using runner::format_sweep_value;
+using runner::parse_sweep_spec;
+using SweepSpec = runner::SweepSpec;
 
 /// The simulator build identity folded into every cache key: the
 /// git-describe string baked in at configure time. The environment

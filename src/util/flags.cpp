@@ -52,10 +52,6 @@ void Flags::report_malformed(std::string_view name, std::string_view value,
                              const char* expected) const {
   const std::string message = "--" + std::string(name) + ": value '" +
                               std::string(value) + "' " + expected;
-  if (on_parse_error_) {
-    on_parse_error_(message);
-    return;
-  }
   M2HEW_CHECK_MSG(false, message.c_str());
 }
 

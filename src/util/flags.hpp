@@ -21,18 +21,10 @@ class Flags {
 
   [[nodiscard]] bool has(std::string_view name) const;
 
-  /// Installs a handler invoked with a "--name: ..." message when a typed
-  /// getter hits an unparseable value; the getter then returns its
-  /// default. Without a handler the getter aborts (CHECK). Front ends
-  /// install one that prints the message and exits 2, so a typo'd value
-  /// is an ordinary usage error, not a crash.
-  void on_parse_error(std::function<void(const std::string&)> handler) {
-    on_parse_error_ = std::move(handler);
-  }
-
   /// Typed getters return the default when the flag is absent; they abort
-  /// (CHECK) when the flag is present but unparseable, unless an
-  /// on_parse_error handler is installed.
+  /// (CHECK) when the flag is present but unparseable. Front ends that
+  /// must exit 2 instead read their flags through the knob table
+  /// (runner/knobs.hpp).
   [[nodiscard]] std::string get_string(std::string_view name,
                                        std::string_view def = "") const;
   [[nodiscard]] std::int64_t get_int(std::string_view name,
@@ -57,7 +49,6 @@ class Flags {
   std::map<std::string, std::string, std::less<>> values_;
   mutable std::map<std::string, bool, std::less<>> consumed_;
   std::vector<std::string> positional_;
-  std::function<void(const std::string&)> on_parse_error_;
 };
 
 }  // namespace m2hew::util

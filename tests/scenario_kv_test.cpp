@@ -1,15 +1,25 @@
-#include "runner/scenario_kv.hpp"
-
+// The knob table's one-key [scenario] entry (the sweep-key API) and the
+// [faults]/[mobility]/[adversary] sections as parse_sweep_spec reads them
+// (runner/knobs.hpp).
 #include <gtest/gtest.h>
 
 #include <string>
 
 #include "core/trust.hpp"
+#include "runner/knobs.hpp"
 #include "sim/fault_plan.hpp"
 #include "util/ini.hpp"
 
 namespace m2hew::runner {
 namespace {
+
+// The one-key entry with its error sink; every failure is recoverable.
+[[nodiscard]] bool apply_scenario_setting(ScenarioConfig& config,
+                                          std::string_view key,
+                                          std::string_view value) {
+  std::string error;
+  return runner::apply_scenario_setting(config, key, value, &error);
+}
 
 TEST(ScenarioKv, TopologyNames) {
   ScenarioConfig config;
@@ -72,15 +82,14 @@ TEST(ScenarioKv, AppliedConfigBuilds) {
   EXPECT_DOUBLE_EQ(network.min_span_ratio(), 0.5);
 }
 
-// Parses `text` with parse_adversary_section and returns the diagnostic
-// ("" on success). Every failure must be recoverable — a daemon-submitted
-// spec must never reach the aborting CHECKs in the validators.
+// Parses `text` as a spec and returns the diagnostic ("" on success).
+// Every failure must be recoverable — a daemon-submitted spec must never
+// reach the aborting CHECKs in the validators.
 [[nodiscard]] std::string adversary_error_of(const std::string& text) {
   const util::IniFile ini = util::IniFile::parse_string(text);
-  sim::AdversarySpec adversary;
-  core::TrustConfig trust;
+  SweepSpec spec;
   std::string error;
-  const bool ok = parse_adversary_section(ini, adversary, trust, &error);
+  const bool ok = parse_sweep_spec(ini, spec, &error);
   EXPECT_EQ(ok, error.empty());
   return error;
 }
@@ -95,10 +104,11 @@ TEST(ScenarioKv, AdversarySectionParses) {
       "trust = 1\n"
       "trust-threshold = 0.4\n"
       "trust-rate-window = 64\n");
-  sim::AdversarySpec adversary;
-  core::TrustConfig trust;
+  SweepSpec spec;
   std::string error;
-  ASSERT_TRUE(parse_adversary_section(ini, adversary, trust, &error)) << error;
+  ASSERT_TRUE(parse_sweep_spec(ini, spec, &error)) << error;
+  const sim::AdversarySpec& adversary = spec.faults.adversary;
+  const core::TrustConfig& trust = spec.trust;
   EXPECT_DOUBLE_EQ(adversary.fraction, 0.3);
   EXPECT_EQ(adversary.attack, sim::AdversaryAttack::kNonResponder);
   EXPECT_DOUBLE_EQ(adversary.byzantine_tx, 0.7);
@@ -110,12 +120,11 @@ TEST(ScenarioKv, AdversarySectionParses) {
 
 TEST(ScenarioKv, AdversarySectionAbsentLeavesDefaults) {
   const util::IniFile ini = util::IniFile::parse_string("[scenario]\nn = 4\n");
-  sim::AdversarySpec adversary;
-  core::TrustConfig trust;
+  SweepSpec spec;
   std::string error;
-  ASSERT_TRUE(parse_adversary_section(ini, adversary, trust, &error));
-  EXPECT_FALSE(adversary.enabled());
-  EXPECT_FALSE(trust.enabled);
+  ASSERT_TRUE(parse_sweep_spec(ini, spec, &error));
+  EXPECT_FALSE(spec.faults.adversary.enabled());
+  EXPECT_FALSE(spec.trust.enabled);
   EXPECT_EQ(error, "");
 }
 
@@ -141,31 +150,19 @@ TEST(ScenarioKv, FaultsAndMobilitySectionsRejectUnknownKeys) {
   {
     const util::IniFile ini =
         util::IniFile::parse_string("[faults]\nbanana = 1\n");
-    sim::SlotFaultPlan faults;
+    SweepSpec spec;
     std::string error;
-    EXPECT_FALSE(parse_faults_section(ini, faults, &error));
+    EXPECT_FALSE(parse_sweep_spec(ini, spec, &error));
     EXPECT_NE(error.find("banana"), std::string::npos) << error;
   }
   {
     const util::IniFile ini =
         util::IniFile::parse_string("[mobility]\nbanana = 1\n");
-    MobilitySpec mobility;
+    SweepSpec spec;
     std::string error;
-    EXPECT_FALSE(parse_mobility_section(ini, mobility, &error));
+    EXPECT_FALSE(parse_sweep_spec(ini, spec, &error));
     EXPECT_NE(error.find("banana"), std::string::npos) << error;
   }
-}
-
-TEST(ScenarioKvDeath, BadValuesAbort) {
-  ScenarioConfig config;
-  EXPECT_DEATH((void)apply_scenario_setting(config, "topology", "moebius"),
-               "CHECK failed");
-  EXPECT_DEATH((void)apply_scenario_setting(config, "n", "many"),
-               "CHECK failed");
-  EXPECT_DEATH((void)apply_scenario_setting(config, "er-p", "x"),
-               "CHECK failed");
-  EXPECT_DEATH((void)apply_scenario_setting(config, "channels", "psychic"),
-               "CHECK failed");
 }
 
 }  // namespace

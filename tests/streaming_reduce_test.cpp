@@ -113,7 +113,7 @@ TEST(WireFormat, RejectsMalformedLines) {
       start = space + 1;
     }
     ASSERT_EQ(tokens.size(), 17u);
-    tokens[token] = "2";
+    tokens[token].assign(1, '2');
     std::string corrupted;
     for (std::size_t i = 0; i < tokens.size(); ++i) {
       if (i > 0) corrupted += ' ';

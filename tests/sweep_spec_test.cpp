@@ -4,10 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "service/artifact_cache.hpp"
 #include "util/ini.hpp"
@@ -83,6 +87,32 @@ TEST(SweepSpec, RejectsBadInput) {
   EXPECT_NE(parse_error_of("[experiment]\nsweep-key = banana\n"
                            "sweep-values = 1 2\n"),
             "");
+  // Values the engine CHECKs would abort on fail here, naming the key.
+  const auto names = [](const std::string& text, const char* key) {
+    const std::string error = parse_error_of(text);
+    EXPECT_NE(error.find(key), std::string::npos) << text << " -> " << error;
+  };
+  names("[faults]\ncrash-prob = 0.2\ndown-min = 500\ndown-max = 100\n",
+        "down-min");
+  names("[faults]\ncrash-prob = 0.2\ncrash-from = 900\n"
+        "crash-until = 100\n",
+        "crash-from");
+  names("[faults]\nburst-loss = 1\n", "burst-loss");
+  names("[faults]\nburst-loss = 0.5\nburst-loss-good = 1\n",
+        "burst-loss-good");
+  names("[scenario]\nn = 0\n", "n");
+  names("[scenario]\nn = -2\n", "n");
+  names("[scenario]\nn = 4294967296\n", "n");
+  names("[experiment]\ntrials = -3\n", "trials");
+  names("[experiment]\nthreads = two\n", "threads");
+  names("[experiment]\ndelta-est = 0\n", "delta-est");
+  names("[experiment]\nalgorithm = alg4\n", "algorithm");
+  names("[scenario]\ntopology = ring\nn = 2\n", "n");
+  names("[scenario]\nrequire-nonempty-spans = yes\n",
+        "require-nonempty-spans");
+  names("[scenario]\nprop-keep = 0\n", "prop-keep");
+  names("[scenario]\nuniverse = 3\nset-size = 4\n", "set-size");
+  names("[experiment]\nsweep-key = n\nsweep-values = 4 0\n", "n");
 }
 
 TEST(SweepSpec, CanonicalizationIgnoresFormattingOnly) {
@@ -396,6 +426,263 @@ TEST(SweepSpec, AdversaryValidation) {
                                     "[adversary]\ntrust = 0\n");
   EXPECT_EQ(soa_untrusted.kernel, runner::SyncKernel::kSoa);
   EXPECT_DOUBLE_EQ(soa_untrusted.faults.adversary.fraction, 0.25);
+}
+
+// Byte-exact canonical text of a spec that sets every section, with churn,
+// burst loss, mobility, adversaries and trust all on. It feeds
+// scenario_hash, so any change to it moves every existing cache key.
+TEST(SweepSpec, CanonicalGolden) {
+  const SweepSpec spec = parse_or_die(
+    "[experiment]\n"
+    "name = golden\n"
+    "algorithm = alg2x\n"
+    "delta-est = 12\n"
+    "trials = 7\n"
+    "seed = 42\n"
+    "max-slots = 3000\n"
+    "kernel = engine\n"
+    "sweep-key = ud-radius\n"
+    "sweep-values = 0.3 0.45\n"
+    "\n"
+    "[scenario]\n"
+    "topology = unit-disk\n"
+    "n = 20\n"
+    "grid-rows = 4\n"
+    "er-p = 0.25\n"
+    "ud-side = 1.5\n"
+    "ud-radius = 0.5\n"
+    "ws-k = 6\n"
+    "ws-beta = 0.3\n"
+    "ba-m = 3\n"
+    "asymmetric-drop = 0.1\n"
+    "channels = uniform\n"
+    "universe = 9\n"
+    "set-size = 5\n"
+    "min-size = 3\n"
+    "max-size = 7\n"
+    "overlap = 3\n"
+    "pu-count = 5\n"
+    "pu-min-radius = 0.1\n"
+    "pu-max-radius = 0.3\n"
+    "require-nonempty-spans = 0\n"
+    "propagation = random\n"
+    "prop-keep = 0.8\n"
+    "\n"
+    "[faults]\n"
+    "crash-prob = 0.2\n"
+    "crash-from = 10\n"
+    "crash-until = 900\n"
+    "down-min = 20\n"
+    "down-max = 300\n"
+    "reset-on-recovery = 0\n"
+    "burst-loss = 0.7\n"
+    "burst-p-gb = 0.03\n"
+    "burst-p-bg = 0.2\n"
+    "burst-loss-good = 0.05\n"
+    "\n"
+    "[mobility]\n"
+    "epochs = 6\n"
+    "epoch-slots = 250\n"
+    "speed-min = 0.01\n"
+    "speed-max = 0.04\n"
+    "pause-epochs = 2\n"
+    "duty-on = 2\n"
+    "duty-period = 3\n"
+    "\n"
+    "[adversary]\n"
+    "fraction = 0.15\n"
+    "attack = non-responder\n"
+    "byzantine-tx = 0.6\n"
+    "victim-fraction = 0.4\n"
+    "trust = 1\n"
+    "trust-threshold = 0.25\n"
+    "trust-reward = 0.03\n"
+    "trust-rate-penalty = 0.4\n"
+    "trust-decay = 0.995\n"
+    "trust-rate-window = 100\n"
+    "trust-max-per-window = 5\n"
+    "trust-block-slots = 1500\n"
+    "trust-entry-window = 9000\n");
+  EXPECT_EQ(spec.canonical(),
+    "m2hew-sweep-spec v1\n"
+    "name = golden\n"
+    "algorithm = alg2x\n"
+    "delta-est = 12\n"
+    "trials = 7\n"
+    "seed = 42\n"
+    "max-slots = 3000\n"
+    "kernel = engine\n"
+    "sweep-key = ud-radius\n"
+    "sweep-values = 0x1.3333333333333p-2 0x1.ccccccccccccdp-2\n"
+    "[scenario]\n"
+    "topology = unit-disk\n"
+    "n = 20\n"
+    "grid-rows = 4\n"
+    "er-p = 0x1p-2\n"
+    "ud-side = 0x1.8p+0\n"
+    "ud-radius = 0x1p-1\n"
+    "ws-k = 6\n"
+    "ws-beta = 0x1.3333333333333p-2\n"
+    "ba-m = 3\n"
+    "asymmetric-drop = 0x1.999999999999ap-4\n"
+    "channels = uniform\n"
+    "universe = 9\n"
+    "set-size = 5\n"
+    "min-size = 3\n"
+    "max-size = 7\n"
+    "overlap = 3\n"
+    "pu-count = 5\n"
+    "pu-min-radius = 0x1.999999999999ap-4\n"
+    "pu-max-radius = 0x1.3333333333333p-2\n"
+    "require-nonempty-spans = 0\n"
+    "propagation = random\n"
+    "prop-keep = 0x1.999999999999ap-1\n"
+    "[faults]\n"
+    "crash-prob = 0x1.999999999999ap-3\n"
+    "crash-from = 10\n"
+    "crash-until = 900\n"
+    "down-min = 20\n"
+    "down-max = 300\n"
+    "reset-on-recovery = 0\n"
+    "burst-loss = 0x1.6666666666666p-1\n"
+    "burst-p-gb = 0x1.eb851eb851eb8p-6\n"
+    "burst-p-bg = 0x1.999999999999ap-3\n"
+    "burst-loss-good = 0x1.999999999999ap-5\n"
+    "[mobility]\n"
+    "epochs = 6\n"
+    "epoch-slots = 250\n"
+    "speed-min = 0x1.47ae147ae147bp-7\n"
+    "speed-max = 0x1.47ae147ae147bp-5\n"
+    "pause-epochs = 2\n"
+    "duty-on = 2\n"
+    "duty-period = 3\n"
+    "[adversary]\n"
+    "fraction = 0x1.3333333333333p-3\n"
+    "attack = non-responder\n"
+    "byzantine-tx = 0x1.3333333333333p-1\n"
+    "victim-fraction = 0x1.999999999999ap-2\n"
+    "trust = 1\n"
+    "trust-threshold = 0x1p-2\n"
+    "trust-reward = 0x1.eb851eb851eb8p-6\n"
+    "trust-rate-penalty = 0x1.999999999999ap-2\n"
+    "trust-decay = 0x1.fd70a3d70a3d7p-1\n"
+    "trust-rate-window = 100\n"
+    "trust-max-per-window = 5\n"
+    "trust-block-slots = 1500\n"
+    "trust-entry-window = 9000\n");
+}
+
+// Every registered INI key: a spec setting it to a non-default in-range
+// value round-trips parse -> canonical -> parse -> canonical unchanged,
+// and a value just outside its range is rejected naming the key.
+TEST(KnobTable, EveryKeyRoundTripsAndRejectsOutOfRange) {
+  using runner::Knob;
+  // Turns on the row's feature, so its row is rendered and its rules hold.
+  const auto context = [](std::string_view section) -> std::string {
+    if (section == "faults") {
+      return "[faults]\ncrash-prob = 0.3\nburst-loss = 0.5\n";
+    }
+    if (section == "mobility") {
+      return "[scenario]\ntopology = unit-disk\nchannels = uniform\n"
+             "[mobility]\nepochs = 4\nduty-period = 8\n";
+    }
+    if (section == "adversary") {
+      return "[adversary]\nfraction = 0.2\ntrust = 1\n";
+    }
+    return "";
+  };
+  const auto format = [](double v) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return std::string(buf);
+  };
+  std::size_t keys = 0;
+  for (const Knob<SweepSpec>& row : runner::spec_knobs()) {
+    if (row.key.empty()) continue;  // a CLI-only spelling
+    ++keys;
+    const std::string key(row.key);
+    const std::string base = context(row.section);
+    const std::string line =
+        "[" + std::string(row.section) + "]\n" + key + " = ";
+    const std::string before = parse_or_die(base).canonical();
+
+    // Candidate in-range values; the first that parses must change the
+    // canonical text (rows the canonical form never renders excepted).
+    std::vector<std::string> candidates;
+    const runner::Range& r = row.range;
+    if (row.kind == 'e') {
+      for (const std::string_view name : row.choices) {
+        candidates.emplace_back(name);
+      }
+    } else if (row.kind == 'b') {
+      candidates = {"0", "1"};
+    } else if (row.kind == 's') {
+      candidates = {"er-p"};
+    } else if (row.kind == 'l') {
+      candidates = {"0.25 0.5"};
+    } else if (std::isfinite(r.hi)) {
+      candidates = {format((r.lo + r.hi) / 2), format((r.lo + 3 * r.hi) / 4)};
+    } else {
+      const double lo = std::isfinite(r.lo) ? r.lo : 0.0;
+      for (const double step : {1.0, 2.0, 7.0, 5000.0}) {
+        candidates.push_back(row.kind == 'u' ? format(lo + step)
+                                             : format(lo + step / 64));
+      }
+    }
+    bool changed = false;
+    for (const std::string& value : candidates) {
+      const util::IniFile ini =
+          util::IniFile::parse_string(base + line + value + "\n");
+      SweepSpec spec;
+      std::string error;
+      if (!parse_sweep_spec(ini, spec, &error)) continue;
+      const std::string text = spec.canonical();
+      if (text == before) continue;
+      changed = true;
+      // canonical -> parse -> canonical: the rendered text reads back as
+      // a spec once the version line becomes [experiment] and the empty
+      // header of a feature that is off is dropped (in a spec file an
+      // empty [mobility] section turns mobility on).
+      std::string reread = "[experiment]\n";
+      std::istringstream lines(text.substr(text.find('\n') + 1));
+      std::string pending;
+      for (std::string l; std::getline(lines, l);) {
+        if (l.starts_with("[")) {
+          pending = l + "\n";
+        } else {
+          reread += pending + l + "\n";
+          pending.clear();
+        }
+      }
+      EXPECT_EQ(parse_or_die(reread).canonical(), text)
+          << key << " = " << value;
+      break;
+    }
+    // (threads and plot are validated but never rendered.)
+    EXPECT_TRUE(changed || row.get(row, SweepSpec{}, true).empty()) << key;
+
+    // Just outside the range (or not a value at all).
+    std::string outside;
+    if (row.kind == 'u') {
+      outside = r.lo > 0 ? std::to_string(static_cast<long long>(r.lo) - 1)
+                         : "-1";
+    } else if (row.kind == 'f') {
+      outside = std::isfinite(r.lo) ? format(r.lo_open ? r.lo : r.lo - 0.001)
+                                    : format(r.hi_open ? r.hi : r.hi + 0.001);
+    } else if (row.kind == 'b') {
+      outside = "2";
+    } else if (row.kind == 'e') {
+      outside = "no-such-name";
+    } else if (row.kind == 'l') {
+      outside = "1 x";
+    } else {
+      continue;  // free text
+    }
+    const std::string error = parse_error_of(base + line + outside + "\n");
+    EXPECT_NE(error.find(key), std::string::npos)
+        << key << " = " << outside << " -> " << error;
+  }
+  EXPECT_GE(keys, 60u);
 }
 
 TEST(SweepSpec, FormatSweepValue) {

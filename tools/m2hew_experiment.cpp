@@ -2,21 +2,24 @@
 //
 //   $ m2hew_experiment sweep.ini
 //
+// The file format is the sweep daemon's (docs/OPERATIONS.md): every key is
+// a row of the knob table (runner/knobs.hpp), and parsing is strict — an
+// unknown section or key, a malformed or out-of-range value, or a rule
+// between keys that does not hold exits 2 with a one-line message naming
+// the key, before any trial runs. Comments take whole lines (`#` or `;`).
 // Example file:
 //
 //   [experiment]
-//   name        = rho_sweep
-//   algorithm   = alg3          ; alg1 | alg2 | alg3 | alg4 | baseline |
-//                               ; adaptive | mcdis | rendezvous |
-//                               ; consistent-hop
-//   delta-est   = 8
-//   trials      = 30
-//   threads     = 0             ; trial fan-out: 0 = all cores, 1 = serial
-//   seed        = 1
-//   max-slots   = 1000000
-//   sweep-key   = overlap       ; any scenario key (see scenario_kv.hpp)
+//   name         = rho_sweep
+//   algorithm    = alg3
+//   delta-est    = 8
+//   trials       = 30
+//   threads      = 0
+//   seed         = 1
+//   max-slots    = 1000000
+//   sweep-key    = overlap
 //   sweep-values = 8 4 2 1
-//   plot        = 1             ; optional ascii plot of mean vs sweep value
+//   plot         = 1
 //
 //   [scenario]
 //   topology  = line
@@ -24,85 +27,43 @@
 //   n         = 12
 //   set-size  = 8
 //
-//   [faults]                  ; optional deterministic fault injection
-//   crash-prob  = 0.3         ; per-node crash probability (node churn)
-//   crash-from  = 200         ; crash window [crash-from, crash-until]
-//   crash-until = 2000
-//   down-min    = 100         ; downtime window [down-min, down-max]
-//   down-max    = 1000
-//   reset-on-recovery = 1     ; restart policy state after recovery
-//   burst-loss  = 0.9         ; Gilbert-Elliott bad-state loss (bursty)
-//   burst-p-gb  = 0.01        ; good->bad transition probability
-//   burst-p-bg  = 0.1         ; bad->good transition probability
+// `algorithm` is any slotted algorithm of the table (alg1, alg2, alg2x,
+// alg3, baseline, deterministic, adaptive, mcdis, rendezvous,
+// consistent-hop); `kernel = soa` runs the structure-of-arrays kernel for
+// the ones with a policy-as-data form. `threads` is the trial fan-out
+// (0 = all cores), `plot` an ascii plot of mean slots vs sweep value, and
+// `sweep-key` any [scenario] key. Optional sections:
 //
-//   [mobility]                ; optional random-waypoint link dynamics
-//   epochs      = 8           ; topology schedule length (epochs)
-//   epoch-slots = 500         ; slots per epoch
-//   speed-min   = 0.0         ; node speed range, units per epoch
-//   speed-max   = 0.05
-//   pause-epochs = 0          ; max pause at a reached waypoint
-//   duty-on     = 1           ; policy active duty-on slots of every
-//   duty-period = 1           ; duty-period window (1/1 = always on)
-//
-//   [adversary]               ; optional adversarial nodes + trust defence
-//   fraction    = 0.2         ; fraction of nodes turned adversarial
-//   attack      = mix         ; jam | byzantine | non-responder | mix
-//   byzantine-tx = 0.45       ; Byzantine per-slot transmit probability
-//   victim-fraction = 0.5     ; non-responder silent-victim fraction
-//   trust       = 1           ; wrap the policy with the trust table
-//   trust-threshold = 0.3     ; (and trust-reward, trust-rate-penalty,
-//                             ; trust-decay, trust-rate-window,
-//                             ; trust-max-per-window, trust-block-slots,
-//                             ; trust-entry-window)
-//
-// [mobility] requires a unit-disk scenario with a position-independent
-// channel kind (homogeneous / uniform / variable); runs then track
-// per-contact detection latency, missed contacts and energy per detected
-// contact (sim/encounter.hpp).
+//   [faults]     crash-prob, crash-from, crash-until, down-min, down-max,
+//                reset-on-recovery (node churn); burst-loss, burst-p-gb,
+//                burst-p-bg, burst-loss-good (Gilbert-Elliott loss)
+//   [mobility]   epochs, epoch-slots, speed-min, speed-max, pause-epochs,
+//                duty-on, duty-period (random-waypoint link dynamics;
+//                needs a unit-disk scenario with homogeneous, uniform or
+//                variable channels)
+//   [adversary]  fraction, attack (jam | byzantine | non-responder | mix),
+//                byzantine-tx, victim-fraction, trust and the trust-* knobs
 //
 // Output: a table (one row per sweep value), optional plot, robustness
 // metrics per sweep value when [faults] is present, encounter metrics per
 // sweep value when [mobility] is present, and results/<name>.csv.
-#include <cmath>
 #include <cstdio>
 #include <fstream>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/adaptive.hpp"
-#include "core/algorithms.hpp"
-#include "core/competitors.hpp"
-#include "core/duty_cycle.hpp"
-#include "core/trust.hpp"
-#include "net/topology_provider.hpp"
 #include "runner/report.hpp"
 #include "runner/scenario.hpp"
-#include "runner/scenario_kv.hpp"
 #include "runner/trials.hpp"
+#include "service/sweep_spec.hpp"
 #include "sim/encounter.hpp"
-#include "sim/fault_plan.hpp"
 #include "util/ascii_plot.hpp"
 #include "util/csv.hpp"
 #include "util/ini.hpp"
 #include "util/table.hpp"
 
-namespace {
-
 using namespace m2hew;
-
-[[nodiscard]] std::string format_value(double value) {
-  char buf[32];
-  if (value == std::floor(value)) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(value));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", value);
-  }
-  return buf;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   if (argc != 2) {
@@ -121,98 +82,28 @@ int main(int argc, char** argv) {
                  parse_error.message.c_str(), parse_error.text.c_str());
     return 2;
   }
-
-  const std::string name = ini.get("experiment", "name", "experiment");
-  const std::string algorithm = ini.get("experiment", "algorithm", "alg3");
-  const auto delta_est =
-      static_cast<std::size_t>(ini.get_int("experiment", "delta-est", 8));
-  const auto trials =
-      static_cast<std::size_t>(ini.get_int("experiment", "trials", 30));
+  service::SweepSpec spec;
+  std::string error;
+  if (!service::parse_sweep_spec(ini, spec, &error)) {
+    std::fprintf(stderr, "%s: %s\n", argv[1], error.c_str());
+    return 2;
+  }
+  // The batch-only keys, already validated by the parse.
   const auto threads =
       static_cast<std::size_t>(ini.get_int("experiment", "threads", 0));
-  const auto seed =
-      static_cast<std::uint64_t>(ini.get_int("experiment", "seed", 1));
-  const auto max_slots = static_cast<std::uint64_t>(
-      ini.get_int("experiment", "max-slots", 1'000'000));
-  const std::string sweep_key = ini.get("experiment", "sweep-key");
-  std::vector<double> sweep_values =
-      ini.get_list("experiment", "sweep-values");
-  if (sweep_values.empty()) sweep_values.push_back(0.0);  // single run
+  const bool plot = ini.get_int("experiment", "plot", 0) != 0;
+  const runner::MobilitySpec& mobility = spec.mobility;
+  const std::string& sweep_key = spec.sweep_key;
 
-  runner::ScenarioConfig base;
-  for (const std::string& key : ini.keys("scenario")) {
-    if (!runner::apply_scenario_setting(base, key,
-                                        ini.get("scenario", key))) {
-      std::fprintf(stderr, "unknown scenario key '%s'\n", key.c_str());
-      return 2;
-    }
-  }
-
-  // Optional [faults] section: deterministic fault injection for every run
-  // in the sweep (docs/MODEL.md "Fault model"). The parser is shared with
-  // the sweep daemon, which reads the same spec format.
-  sim::SlotFaultPlan faults;
-  {
-    std::string fault_error;
-    if (!runner::parse_faults_section(ini, faults, &fault_error)) {
-      std::fprintf(stderr, "%s\n", fault_error.c_str());
-      return 2;
-    }
-  }
-
-  // Optional [mobility] section: random-waypoint epoch dynamics. Every
-  // sweep point rebuilds the trajectory/link schedule from the same seed,
-  // so a swept scenario key (say ud-radius) changes the link sets but not
-  // the node paths.
-  runner::MobilitySpec mobility;
-  {
-    std::string mobility_error;
-    if (!runner::parse_mobility_section(ini, mobility, &mobility_error)) {
-      std::fprintf(stderr, "%s\n", mobility_error.c_str());
-      return 2;
-    }
-  }
-
-  // Optional [adversary] section: seed-derived adversarial roles plus the
-  // trust-scored neighbor maintenance defence (docs/MODEL.md "Adversary
-  // model & trust maintenance"); same parser as the sweep daemon.
-  core::TrustConfig trust;
-  {
-    std::string adversary_error;
-    if (!runner::parse_adversary_section(ini, faults.adversary, trust,
-                                         &adversary_error)) {
-      std::fprintf(stderr, "%s\n", adversary_error.c_str());
-      return 2;
-    }
-  }
-
-  auto make_factory = [&]() -> sim::SyncPolicyFactory {
-    if (algorithm == "alg1") return core::make_algorithm1(delta_est);
-    if (algorithm == "alg2") return core::make_algorithm2();
-    if (algorithm == "alg3") return core::make_algorithm3(delta_est);
-    if (algorithm == "adaptive") return core::make_adaptive();
-    if (algorithm == "baseline") {
-      return core::make_universal_baseline(base.universe, 0.5);
-    }
-    if (algorithm == "mcdis") return core::make_mcdis();
-    if (algorithm == "rendezvous") return core::make_blind_rendezvous();
-    if (algorithm == "consistent-hop") return core::make_consistent_hop();
-    std::fprintf(stderr,
-                 "unknown/unsupported algorithm '%s' (alg4 needs the async "
-                 "engine; use m2hew_cli)\n",
-                 algorithm.c_str());
-    std::exit(2);
-  };
-
-  std::printf("experiment: %s (%s, %zu trials/point)\n", name.c_str(),
-              algorithm.c_str(), trials);
+  std::printf("experiment: %s (%s, %zu trials/point)\n", spec.name.c_str(),
+              spec.algorithm.c_str(), spec.trials);
   std::printf("policy:     %s\n",
-              runner::describe_policy(algorithm, delta_est).c_str());
+              runner::describe_policy(spec.algorithm, spec.delta_est).c_str());
   if (mobility.enabled) {
     std::printf("mobility:  %s\n", runner::describe_mobility(mobility).c_str());
   }
 
-  auto csv_file = runner::open_results_csv(name);
+  auto csv_file = runner::open_results_csv(spec.name);
   util::CsvWriter csv(csv_file);
   if (mobility.enabled) {
     csv.header({"sweep_value", "success_rate", "mean_slots", "p50_slots",
@@ -230,57 +121,30 @@ int main(int argc, char** argv) {
   double total_seconds = 0.0;
   std::size_t total_trials = 0;
   std::size_t threads_used = 1;
-  for (const double value : sweep_values) {
-    runner::ScenarioConfig scenario = base;
-    if (!sweep_key.empty()) {
-      if (!runner::apply_scenario_setting(scenario, sweep_key,
-                                          format_value(value))) {
-        std::fprintf(stderr, "unknown sweep key '%s'\n", sweep_key.c_str());
-        return 2;
-      }
+  for (const double value : spec.sweep_values) {
+    const std::string label = service::format_sweep_value(value);
+    runner::SweepPoint point;
+    if (!runner::build_sweep_point(spec, value, point, &error)) {
+      std::fprintf(stderr, "%s: %s\n", argv[1], error.c_str());
+      return 2;
     }
-    std::unique_ptr<net::EpochTopologyProvider> provider;
-    std::optional<net::Network> static_network;
-    if (mobility.enabled) {
-      if (scenario.topology != runner::TopologyKind::kUnitDisk ||
-          (scenario.channels != runner::ChannelKind::kHomogeneous &&
-           scenario.channels != runner::ChannelKind::kUniformRandom &&
-           scenario.channels != runner::ChannelKind::kVariableRandom)) {
-        std::fprintf(stderr,
-                     "[mobility] requires topology=unit-disk and "
-                     "channels=homogeneous|uniform|variable\n");
-        return 2;
-      }
-      provider = runner::build_mobility_provider(scenario, mobility, seed);
-    } else {
-      static_network.emplace(runner::build_scenario(scenario, seed));
-    }
-    const net::Network& network =
-        provider != nullptr ? provider->union_network() : *static_network;
     runner::SyncTrialConfig trial;
-    trial.trials = trials;
-    trial.seed = seed;
+    trial.trials = spec.trials;
+    trial.seed = spec.seed;
     trial.threads = threads;
-    trial.engine.max_slots = max_slots;
-    trial.engine.faults = faults;
+    trial.engine = point.engine;
     std::optional<sim::EncounterIndex> encounter_index;
-    if (provider != nullptr) {
-      trial.engine.topology = provider.get();
-      trial.engine.epoch_length = mobility.epoch_slots;
-      encounter_index.emplace(*provider, mobility.epoch_slots, max_slots);
+    if (point.provider != nullptr) {
+      encounter_index.emplace(*point.provider, mobility.epoch_slots,
+                              spec.max_slots);
       trial.encounters = &*encounter_index;
     }
-    sim::SyncPolicyFactory factory = make_factory();
-    if (mobility.enabled) {
-      factory = core::with_duty_cycle(std::move(factory), mobility.duty_on,
-                                      mobility.duty_period);
-    }
-    // Identity when [adversary] trust is off.
-    factory = core::with_trust(std::move(factory), trust);
-    const auto stats = runner::run_sync_trials(network, factory, trial);
+    // Same policy construction as the sweep daemon.
+    const auto stats = runner::run_spec_trials(point.network(), spec, trial,
+                                               spec.scenario.universe);
     if (stats.robustness.enabled() || stats.encounters.enabled()) {
       std::printf("[%s = %s]\n", sweep_key.empty() ? "run" : sweep_key.c_str(),
-                  format_value(value).c_str());
+                  label.c_str());
       if (stats.robustness.enabled()) {
         runner::print_robustness(stats.robustness);
       }
@@ -294,7 +158,7 @@ int main(int argc, char** argv) {
     total_trials += stats.trials;
     threads_used = stats.threads_used;
     table.row()
-        .cell(format_value(value))
+        .cell(label)
         .cell(stats.success_rate(), 2)
         .cell(summary.mean, 1)
         .cell(summary.p50, 1)
@@ -320,13 +184,15 @@ int main(int argc, char** argv) {
                   : 0.0,
               threads_used);
 
-  if (ini.get_int("experiment", "plot", 0) != 0 && sweep_values.size() > 1) {
-    util::PlotOptions plot;
-    plot.x_label = sweep_key;
-    plot.y_label = "mean slots";
-    std::printf("\n%s", util::ascii_plot(sweep_values, means, plot).c_str());
+  if (plot && spec.sweep_values.size() > 1) {
+    util::PlotOptions plot_options;
+    plot_options.x_label = sweep_key;
+    plot_options.y_label = "mean slots";
+    std::printf("\n%s",
+                util::ascii_plot(spec.sweep_values, means, plot_options)
+                    .c_str());
   }
   std::printf("\nwrote %s/%s.csv\n", runner::results_dir().c_str(),
-              name.c_str());
+              spec.name.c_str());
   return 0;
 }

@@ -33,7 +33,9 @@ using namespace m2hew;
 /// status JSON (fields the daemon writes are always escaped strings).
 [[nodiscard]] std::string json_field(const std::string& doc,
                                      std::string_view name) {
-  const std::string needle = "\"" + std::string(name) + "\": \"";
+  std::string needle = "\"";
+  needle += name;
+  needle += "\": \"";
   const auto at = doc.find(needle);
   if (at == std::string::npos) return "";
   const auto begin = at + needle.size();

@@ -5,15 +5,16 @@
 //
 //   $ m2hew_trace --topology=line --n=4 --slots=40
 //   $ m2hew_trace --algorithm=alg1 --delta-est=16 --slots=60 --seed=3
+//
+// Any [scenario] knob of the knob table (runner/knobs.hpp) is a flag;
+// --help lists them with their ranges.
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "core/adaptive.hpp"
-#include "core/algorithms.hpp"
-#include "core/baseline_deterministic.hpp"
+#include "runner/knobs.hpp"
 #include "runner/scenario.hpp"
-#include "runner/scenario_kv.hpp"
 #include "sim/slot_engine.hpp"
 #include "sim/trace.hpp"
 #include "util/flags.hpp"
@@ -22,52 +23,50 @@ namespace {
 
 using namespace m2hew;
 
-constexpr const char* kUsage = R"(m2hew_trace — execution timeline viewer
+struct Options {
+  runner::SweepSpec spec;
+  std::uint64_t slots = 40;
+};
 
-  --topology/--n/--channels/... any scenario key (see scenario_kv.hpp,
-                                 dashes as in the CLI), defaults: line n=4,
-                                 uniform channels |U|=6 |A|=3
-  --algorithm=<alg1|alg2|alg3|adaptive|baseline|deterministic> (default alg3)
-  --delta-est=<bound>            (default 8)
-  --slots=<count>                timeline window (default 40)
-  --seed=<seed>                  (default 1)
-)";
+[[nodiscard]] bool traced_knob(const runner::Knob<runner::SweepSpec>& row) {
+  return row.section == "scenario" || row.key == "algorithm" ||
+         row.key == "delta-est" || row.key == "seed";
+}
+
+[[noreturn]] void usage_error(const std::string& message) {
+  runner::exit_usage("m2hew_trace", message);
+}
 
 }  // namespace
 
 int main(int argc, char** argv) {
   const util::Flags flags(argc, argv);
-  if (flags.has("help")) {
-    std::fputs(kUsage, stdout);
-    return 0;
-  }
-
-  runner::ScenarioConfig scenario;
+  Options options;
+  runner::ScenarioConfig& scenario = options.spec.scenario;
   scenario.topology = runner::TopologyKind::kLine;
   scenario.n = 4;
   scenario.channels = runner::ChannelKind::kUniformRandom;
   scenario.universe = 6;
   scenario.set_size = 3;
-  // Any flag that names a scenario key overrides the default.
-  for (const char* key :
-       {"topology", "n", "grid-rows", "er-p", "ud-side", "ud-radius",
-        "ws-k", "ws-beta", "ba-m", "channels", "universe", "set-size",
-        "min-size", "max-size", "overlap", "asymmetric-drop", "propagation",
-        "prop-keep"}) {
-    if (flags.has(key)) {
-      if (!runner::apply_scenario_setting(scenario, key,
-                                          flags.get_string(key))) {
-        std::fprintf(stderr, "bad scenario key --%s\n", key);
-        return 2;
-      }
-    }
+  static const std::vector<runner::Knob<Options>> trace_knobs = {
+      runner::knob<&Options::slots>("", "slots", "slots", runner::at_least(1),
+                                    "timeline window")};
+  runner::read_flags<Options>("m2hew_trace", "execution timeline viewer",
+                              flags, trace_knobs, options, options.spec,
+                              traced_knob);
+  std::string error;
+  if (!runner::check_scenario(scenario, runner::Surface::kCli, &error)) {
+    usage_error(error);
   }
-
-  const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const auto slots = static_cast<std::uint64_t>(flags.get_int("slots", 40));
-  const auto delta_est =
-      static_cast<std::size_t>(flags.get_int("delta-est", 8));
-  const std::string algorithm = flags.get_string("algorithm", "alg3");
+  const runner::Algorithm& algorithm =
+      *runner::find_algorithm(options.spec.algorithm);
+  if (algorithm.make_async != nullptr) {
+    usage_error("--algorithm=" + options.spec.algorithm +
+                " runs on real time; the timeline is slotted");
+  }
+  const std::uint64_t seed = options.spec.seed;
+  const std::uint64_t slots = options.slots;
+  const std::string& algorithm_name = options.spec.algorithm;
 
   const net::Network network = runner::build_scenario(scenario, seed);
   std::printf("scenario: %s\n", runner::describe(scenario).c_str());
@@ -78,24 +77,8 @@ int main(int argc, char** argv) {
     }
     std::printf("\n");
   }
-
-  sim::SyncPolicyFactory factory;
-  if (algorithm == "alg1") {
-    factory = core::make_algorithm1(delta_est);
-  } else if (algorithm == "alg2") {
-    factory = core::make_algorithm2();
-  } else if (algorithm == "alg3") {
-    factory = core::make_algorithm3(delta_est);
-  } else if (algorithm == "adaptive") {
-    factory = core::make_adaptive();
-  } else if (algorithm == "baseline") {
-    factory = core::make_universal_baseline(network.universe_size(), 0.5);
-  } else if (algorithm == "deterministic") {
-    factory = core::make_deterministic_baseline(network.universe_size());
-  } else {
-    std::fprintf(stderr, "unknown --algorithm=%s\n", algorithm.c_str());
-    return 2;
-  }
+  const sim::SyncPolicyFactory factory = algorithm.sync_factory(
+      options.spec.delta_est, network.universe_size());
 
   sim::Trace trace;
   sim::SlotEngineConfig engine;
@@ -118,7 +101,7 @@ int main(int argc, char** argv) {
 
   std::printf("\ntimeline (%s, %llu slots; T<c> transmit, R<c> receive, "
               "'.' quiet):\n\n%s",
-              algorithm.c_str(), static_cast<unsigned long long>(slots),
+              algorithm_name.c_str(), static_cast<unsigned long long>(slots),
               trace.render_timeline(0, slots).c_str());
 
   std::printf("\nreceptions (%zu):\n", receptions.size());
