@@ -2,7 +2,7 @@
 // topology core). Nodes follow seed-derived random-waypoint trajectories
 // over the unit-disk square; the link set is recomputed at epoch
 // boundaries (net/topology_provider.hpp) and discovery runs against the
-// union network with per-epoch adjacency swapped inside the engines. The
+// union network, with each epoch's live-arc bits gating receptions. The
 // contact-tracing questions replace plain completion: how fast after a
 // contact opens is the neighbor first heard (detection latency vs contact
 // duration), what fraction of contacts is missed outright, and what each
@@ -79,8 +79,8 @@ constexpr std::uint64_t kRootSeed = 60;
 }
 
 /// Timed section: one full mobile run per iteration — measures the cost
-/// of the per-slot epoch check plus the per-epoch adjacency swap on top
-/// of the classic engine (Arg = speed in hundredths of a unit/epoch;
+/// of the per-slot epoch pick plus the live-bit test per candidate arc on
+/// top of the classic engine (Arg = speed in hundredths of a unit/epoch;
 /// Arg(0) is the degenerate all-epochs-identical schedule).
 void BM_MobileEngine(benchmark::State& state) {
   const double speed = static_cast<double>(state.range(0)) / 100.0;

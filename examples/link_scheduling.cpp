@@ -43,18 +43,18 @@ struct ScheduledLink {
   struct Pending {
     net::NodeId from;
     net::NodeId to;
-    const net::ChannelSet* span;
+    net::ChannelSet span;
   };
   std::vector<Pending> pending;
   for (net::NodeId u = 0; u < network.node_count(); ++u) {
     for (const sim::NeighborRecord& rec : state.neighbor_table(u)) {
-      pending.push_back({rec.neighbor, u, &rec.common_channels});
+      pending.push_back({rec.neighbor, u, rec.common_channels});
     }
   }
   // Deterministic order: widest spans last so constrained links pick first.
   std::stable_sort(pending.begin(), pending.end(),
                    [](const Pending& a, const Pending& b) {
-                     return a.span->size() < b.span->size();
+                     return a.span.size() < b.span.size();
                    });
 
   std::vector<ScheduledLink> schedule;
@@ -83,7 +83,7 @@ struct ScheduledLink {
   };
 
   for (const Pending& link : pending) {
-    const auto channels = link.span->to_vector();
+    const auto channels = link.span.to_vector();
     bool placed = false;
     for (std::size_t slot = 0; !placed; ++slot) {
       for (const net::ChannelId channel : channels) {

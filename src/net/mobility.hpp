@@ -49,14 +49,16 @@ struct MobilityConfig {
   std::size_t epochs = 1;
 };
 
-/// Validation shared by the provider and the front ends (CLI flag checks
-/// reimplement the same ranges with exit-code-2 reporting).
+/// The model's CHECKed preconditions. The front ends never reach them:
+/// the knob table (runner/knobs.cpp) rejects the same ranges with exit
+/// code 2.
 void validate_mobility_config(const MobilityConfig& config);
 
 /// The random-waypoint process itself. Exposed separately from the
 /// topology provider so tests can pin trajectories (golden positions,
-/// chi-squared waypoint uniformity) without building networks, and so
-/// alternative mobility models can slot into EpochTopologyProvider — see
+/// chi-squared waypoint uniformity) and recompute an epoch's link set
+/// without building networks. Another mobility model only has to yield
+/// per-epoch topologies for EpochTopologyProvider — see
 /// docs/EXTENDING.md "Adding a mobility model".
 class RandomWaypointModel {
  public:

@@ -128,11 +128,6 @@ std::size_t Network::in_arc(NodeId from, NodeId to) const {
              : kNoArc;
 }
 
-const ChannelSet* Network::in_span(NodeId from, NodeId to) const {
-  const std::size_t arc = in_arc(from, to);
-  return arc == kNoArc ? nullptr : &spans_[arc];
-}
-
 double Network::span_ratio(Link link) const {
   const ChannelSet& s = span(link.from, link.to);
   return static_cast<double>(s.size()) /

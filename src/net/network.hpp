@@ -85,11 +85,10 @@ class Network {
   /// indeg(to)) otherwise.
   [[nodiscard]] std::size_t in_arc(NodeId from, NodeId to) const;
 
-  /// span(from, to) if the arc from→to exists, nullptr otherwise, at
-  /// in_arc's cost. This is the adjacency filter of the engines' reception
-  /// hot path: a listener resolves the per-channel transmitter bucket
-  /// against it instead of scanning all in-neighbors.
-  [[nodiscard]] const ChannelSet* in_span(NodeId from, NodeId to) const;
+  /// Arc id of u's first in-link: in_links(u)[k] is arc first_in_arc(u) + k.
+  [[nodiscard]] std::size_t first_in_arc(NodeId u) const {
+    return in_link_offsets_[u];
+  }
 
   /// The span of arc id `arc` (< arc_count()).
   [[nodiscard]] const ChannelSet& arc_span(std::size_t arc) const {

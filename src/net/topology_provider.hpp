@@ -1,102 +1,80 @@
-// Time-varying topology behind a uniform provider interface.
+// Time-varying topology: one union network plus one live-arc bitset per
+// epoch.
 //
-// Engines resolve adjacency through a TopologyProvider instead of a single
-// Network: the provider exposes E >= 1 epochs, each a fully built Network
-// over the SAME node set and channel assignment, plus the *union* network
-// containing every arc that exists in any epoch. Engines are constructed
-// on the union (discovery bookkeeping, policies, completion ground truth
-// all need the full arc universe), and consult epoch(e) only to decide
-// which arcs carry traffic during epoch e. A single-epoch provider is the
-// static case: union_network() and epoch(0) are the same object, so the
-// dynamic path degenerates to exactly today's behavior.
+// A schedule is E >= 1 epochs over one node set and one channel
+// assignment. The union network holds every arc that exists in any epoch.
+// Engines are built on it: discovery bookkeeping, policies, completion
+// ground truth and all per-link fault state use its arc ids. Epoch e is
+// one bit per union arc, set iff the arc carries traffic during e, and
+// the engines test that bit where a reception needs the arc. A
+// single-epoch schedule is the static case: the union IS epoch 0's
+// network, so engines take their unmasked path (topology_provider_of).
 //
-// StaticTopologyProvider wraps an existing Network by reference at zero
-// cost; EpochTopologyProvider drives a RandomWaypointModel and rebuilds
-// the unit-disk link set per epoch with the bucketed cell scan
-// (unit_disk_topology), reusing one channel assignment throughout.
+// A schedule is built from its per-epoch topologies: a hand-written list,
+// or a random-waypoint run that recomputes the unit-disk link set at each
+// epoch's positions with the bucketed cell scan (unit_disk_topology).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
 #include "net/channel_set.hpp"
 #include "net/mobility.hpp"
 #include "net/network.hpp"
+#include "net/topology.hpp"
 
 namespace m2hew::net {
 
-/// Read-only view of a (possibly time-varying) topology. All referenced
-/// networks must share node count and channel assignment; the union
-/// network must contain every arc of every epoch.
-class TopologyProvider {
- public:
-  virtual ~TopologyProvider() = default;
+/// The union arcs live in one epoch, as a view of its bitset. A null view
+/// has every arc live (the static path).
+struct LiveArcs {
+  const std::uint64_t* words = nullptr;
 
-  /// Number of epochs, >= 1.
-  [[nodiscard]] virtual std::size_t epoch_count() const noexcept = 0;
-
-  /// The link set in force during epoch e (e < epoch_count()). Simulations
-  /// running past the last epoch stay on epoch_count() - 1.
-  [[nodiscard]] virtual const Network& epoch(std::size_t e) const = 0;
-
-  /// Every arc that exists in at least one epoch. Engines build their
-  /// discovery state (and define "complete") against this network. For a
-  /// single-epoch provider this is epoch(0) itself.
-  [[nodiscard]] virtual const Network& union_network() const = 0;
-};
-
-/// The static case: one epoch, no copies — wraps a caller-owned Network
-/// by reference (caller keeps it alive, as with engine configs today).
-class StaticTopologyProvider final : public TopologyProvider {
- public:
-  explicit StaticTopologyProvider(const Network& network)
-      : network_(&network) {}
-
-  [[nodiscard]] std::size_t epoch_count() const noexcept override { return 1; }
-  [[nodiscard]] const Network& epoch(std::size_t e) const override;
-  [[nodiscard]] const Network& union_network() const override {
-    return *network_;
+  [[nodiscard]] bool operator()(std::size_t arc) const noexcept {
+    return words == nullptr || ((words[arc >> 6] >> (arc & 63)) & 1U) != 0;
   }
-
- private:
-  const Network* network_;
 };
 
-/// Random-waypoint mobility over the unit-disk model: node positions
-/// advance one step per epoch and the link set is recomputed with the
-/// bucketed cell scan. All epochs (and the union) are built eagerly at
-/// construction, so epoch()/union_network() are allocation-free and safe
-/// to call concurrently from worker threads during trials.
-class EpochTopologyProvider final : public TopologyProvider {
+/// An epoch schedule. Immutable after construction, so live() and
+/// union_network() are allocation-free and safe to call concurrently from
+/// worker threads during trials.
+class EpochTopologyProvider {
  public:
-  /// `assignment` is the per-node channel availability, shared by every
-  /// epoch (mobility moves nodes; it does not retune radios). `seed`
-  /// derives the per-node trajectory streams (net/mobility.hpp).
+  /// `epochs[e]` is the link set of epoch e (at least one epoch, each over
+  /// assignment.size() nodes). `assignment` is the per-node channel
+  /// availability, shared by every epoch. The union inserts each epoch's
+  /// edges() in (epoch, discovery) order, both arcs per edge; one epoch
+  /// is its own union, arcs in that topology's insertion order.
+  EpochTopologyProvider(std::vector<Topology> epochs,
+                        std::vector<ChannelSet> assignment);
+
+  /// Random-waypoint mobility over the unit-disk model: epoch 0 is the
+  /// initial placement and every later epoch advances the model one step
+  /// (net/mobility.hpp). `seed` derives the per-node trajectory streams.
   EpochTopologyProvider(const MobilityConfig& config,
                         std::vector<ChannelSet> assignment,
                         std::uint64_t seed);
 
-  [[nodiscard]] std::size_t epoch_count() const noexcept override {
-    return epochs_.size();
+  /// Number of epochs, >= 1.
+  [[nodiscard]] std::size_t epoch_count() const noexcept { return epochs_; }
+
+  /// Every arc that exists in at least one epoch.
+  [[nodiscard]] const Network& union_network() const noexcept {
+    return union_;
   }
-  [[nodiscard]] const Network& epoch(std::size_t e) const override;
-  [[nodiscard]] const Network& union_network() const override;
 
-  /// Node positions at epoch e (for tests and position-based diagnostics).
-  [[nodiscard]] std::span<const Point> positions(std::size_t e) const;
-
-  [[nodiscard]] const MobilityConfig& config() const noexcept {
-    return config_;
+  /// The union arcs live in epoch e. Simulations running past the last
+  /// epoch stay on it.
+  [[nodiscard]] LiveArcs live(std::size_t e) const noexcept {
+    return {live_.data() + (e < epochs_ ? e : epochs_ - 1) * words_};
   }
 
  private:
-  MobilityConfig config_;
-  std::vector<Network> epochs_;
-  std::vector<std::vector<Point>> positions_;
-  /// Null when epoch_count() == 1 (the union IS epoch 0 then).
-  std::unique_ptr<Network> union_;
+  std::size_t epochs_;
+  Network union_;
+  std::size_t words_;                // bitset words per epoch
+  std::vector<std::uint64_t> live_;  // epoch-major, words_ per epoch
 };
 
 }  // namespace m2hew::net

@@ -129,10 +129,10 @@ AsyncEngineResult run_async_engine(const net::Network& network,
   const double slot_local_len =
       config.frame_length / static_cast<double>(config.slots_per_frame);
 
-  // Time-varying topology: a listening frame resolves against the link set
-  // of the epoch its frame STARTS in (frames are not split at epoch
+  // Time-varying topology: a listening frame resolves against the live
+  // arcs of the epoch its frame STARTS in (frames are not split at epoch
   // boundaries — see docs/MODEL.md "Time-varying topology & mobility").
-  const net::TopologyProvider* provider =
+  const net::EpochTopologyProvider* provider =
       topology_provider_of(config, network);
 
   while (!queue.empty()) {
@@ -228,18 +228,18 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         node.history[static_cast<std::size_t>(ev.frame_seq - node.base_seq)];
     const net::ChannelId c = g.channel;
     const net::NodeId u = ev.node;
-    const net::Network& adj =
-        provider != nullptr
-            ? provider->epoch(epoch_at(*provider, config.epoch_length, g.start))
-            : network;
+    const net::LiveArcs live_arcs =
+        live_arcs_at(provider, config.epoch_length, g.start);
 
     // Collect all in-neighbor transmissions on c that overlap g and whose
-    // arc to u actually carries c (a transmission that does not propagate
-    // to u neither delivers nor interferes). Each entry is one
-    // transmitting *frame* (a contiguous burst of slots).
+    // live arc to u actually carries c (a transmission that does not
+    // propagate to u neither delivers nor interferes). Each entry is one
+    // transmitting *frame* (a contiguous burst of slots) with the union
+    // arc id of sender → u.
     struct Burst {
       net::NodeId sender;
       const FrameRecord* frame;
+      std::size_t arc;
     };
     std::vector<Burst> bursts;
     if (config.indexed_reception) {
@@ -258,9 +258,12 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         if (entry.frame.start >= g.end || entry.frame.end <= g.start) {
           continue;
         }
-        const net::ChannelSet* span = adj.in_span(entry.sender, u);
-        if (span == nullptr || !span->contains(c)) continue;
-        bursts.push_back({entry.sender, &entry.frame});
+        const std::size_t arc = network.in_arc(entry.sender, u);
+        if (arc == net::Network::kNoArc || !live_arcs(arc) ||
+            !network.arc_span(arc).contains(c)) {
+          continue;
+        }
+        bursts.push_back({entry.sender, &entry.frame, arc});
       }
       std::sort(bursts.begin(), bursts.end(),
                 [](const Burst& a, const Burst& b) {
@@ -269,12 +272,14 @@ AsyncEngineResult run_async_engine(const net::Network& network,
                              : a.frame->start < b.frame->start;
                 });
     } else {
-      for (const net::Network::InLink& in : adj.in_links(u)) {
-        if (!in.span->contains(c)) continue;
-        for (const FrameRecord& f : nodes[in.from].history) {
+      const std::size_t first = network.first_in_arc(u);
+      const auto in = network.in_links(u);
+      for (std::size_t k = 0; k < in.size(); ++k) {
+        if (!live_arcs(first + k) || !in[k].span->contains(c)) continue;
+        for (const FrameRecord& f : nodes[in[k].from].history) {
           if (f.mode != Mode::kTransmit || f.channel != c) continue;
           if (f.start < g.end && f.end > g.start) {
-            bursts.push_back({in.from, &f});
+            bursts.push_back({in[k].from, &f, first + k});
           }
         }
       }
@@ -329,11 +334,9 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         // The shared disposition chain. A jammer's burst is noise (it
         // still interferes with other senders above, but never decodes);
         // a lost slot leaves the burst's later slots in play; any other
-        // outcome settles this sender for the frame. Per-link state lives
-        // on the union network, so the arc id is resolved there.
-        const std::size_t arc = network.in_arc(burst.sender, u);
+        // outcome settles this sender for the frame.
         const Reception rx = dispose_reception(
-            faults, burst.sender, u, arc, s1, setup.loss_rng(),
+            faults, burst.sender, u, burst.arc, s1, setup.loss_rng(),
             config.loss_probability, [&](net::NodeId id) {
               return setup.policy(u).admit_neighbor(id);
             });
@@ -342,7 +345,7 @@ AsyncEngineResult run_async_engine(const net::Network& network,
           setup.policy(u).observe_reception(rx.announced, rx.first_fake);
         } else if (rx.disposition == Disposition::kAdmitted) {
           const bool first_time =
-              result.state.record_reception(burst.sender, u, arc, s1);
+              result.state.record_reception(burst.sender, u, burst.arc, s1);
           if (first_time) {
             last_covered_time = std::max(last_covered_time, s1);
           }

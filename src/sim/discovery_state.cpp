@@ -1,6 +1,7 @@
 #include "sim/discovery_state.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/check.hpp"
 
@@ -17,8 +18,7 @@ DiscoveryState::DiscoveryState(const net::Network& network)
       n_(network.node_count()),
       total_links_(network.links().size()),
       covered_(network.arc_count(), kNotALink),
-      first_time_(network.arc_count(), -1.0),
-      tables_(n_) {
+      first_time_(network.arc_count(), -1.0) {
   for (const std::size_t arc : network.link_arcs()) covered_[arc] = kUncovered;
 }
 
@@ -31,7 +31,8 @@ bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
   return record_reception(sender, receiver, arc, time);
 }
 
-bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
+bool DiscoveryState::record_reception([[maybe_unused]] net::NodeId sender,
+                                      [[maybe_unused]] net::NodeId receiver,
                                       std::size_t arc, double time) {
   M2HEW_DCHECK(arc == network_->in_arc(sender, receiver));
   M2HEW_CHECK_MSG(arc < covered_.size() && covered_[arc] != kNotALink,
@@ -41,8 +42,6 @@ bool DiscoveryState::record_reception(net::NodeId sender, net::NodeId receiver,
   covered_[arc] = kCovered;
   first_time_[arc] = time;
   ++covered_count_;
-  // Receiver stores ⟨sender, A(sender) ∩ A(receiver)⟩ = span.
-  tables_[receiver].push_back({sender, network_->arc_span(arc)});
   return true;
 }
 
@@ -57,33 +56,37 @@ double DiscoveryState::first_coverage_time(net::Link link) const {
   return first_time_[network_->in_arc(link.from, link.to)];
 }
 
-const std::vector<NeighborRecord>& DiscoveryState::neighbor_table(
+std::vector<NeighborRecord> DiscoveryState::neighbor_table(
     net::NodeId u) const {
   M2HEW_CHECK(u < n_);
-  return tables_[u];
+  // In-link k of u is arc first + k, and in-links ascend by sender id, so
+  // sorting (time, k) orders the records by (time, sender).
+  const std::size_t first = network_->first_in_arc(u);
+  const auto in = network_->in_links(u);
+  std::vector<std::pair<double, std::size_t>> heard;
+  for (std::size_t k = 0; k < in.size(); ++k) {
+    if (covered_[first + k] == kCovered) {
+      heard.emplace_back(first_time_[first + k], k);
+    }
+  }
+  std::sort(heard.begin(), heard.end());
+  // A covered arc v→u is the record ⟨v, A(v) ∩ A(u)⟩ = span.
+  std::vector<NeighborRecord> table;
+  table.reserve(heard.size());
+  for (const auto& entry : heard) {
+    table.push_back({in[entry.second].from,
+                     network_->arc_span(first + entry.second)});
+  }
+  return table;
 }
 
 bool DiscoveryState::table_matches_ground_truth(net::NodeId u) const {
   M2HEW_CHECK(u < n_);
-  // Expected: one record per discovery link (v, u), with the span.
-  std::vector<net::NodeId> expected;
-  for (const net::Link link : network_->links()) {
-    if (link.to == u) expected.push_back(link.from);
+  const std::size_t first = network_->first_in_arc(u);
+  for (std::size_t k = 0; k < network_->in_links(u).size(); ++k) {
+    if (covered_[first + k] == kUncovered) return false;
   }
-  const auto& table = tables_[u];
-  if (table.size() != expected.size()) return false;
-
-  std::vector<net::NodeId> got;
-  got.reserve(table.size());
-  for (const auto& rec : table) {
-    if (!(rec.common_channels == network_->span(rec.neighbor, u))) {
-      return false;
-    }
-    got.push_back(rec.neighbor);
-  }
-  std::sort(expected.begin(), expected.end());
-  std::sort(got.begin(), got.end());
-  return expected == got;
+  return true;
 }
 
 }  // namespace m2hew::sim

@@ -1,5 +1,14 @@
-// DiscoveryState: tracks which discovery links have been covered, the
-// neighbor tables each node has built, and per-link first-coverage times.
+// DiscoveryState: tracks which discovery links have been covered and
+// their first-coverage times, one entry per arc. Each node's neighbor
+// table is derived from that ledger on demand: the covered in-arcs with
+// their spans, ordered by (first coverage time, sender id). On the
+// single-radio slot engine that is first-reception order. Two first
+// receptions at one node can share a slot only on the multi-radio
+// engine, where the sender id breaks the tie, not the radio index. The
+// async engine decodes a listening frame's senders in id order at the
+// frame's end, but each at its own slot's end, and the table lists them
+// by that time. No policy reads DiscoveryState, and every table
+// comparison is between runs of the same engine.
 //
 // This is measurement machinery (a global oracle), not part of the
 // distributed algorithms: nodes never consult it; the engines use it to
@@ -59,13 +68,14 @@ class DiscoveryState {
   /// First-coverage time of a link; requires is_covered(link).
   [[nodiscard]] double first_coverage_time(net::Link link) const;
 
-  /// Neighbor table of node u as built from received messages, in first
-  /// reception order.
-  [[nodiscard]] const std::vector<NeighborRecord>& neighbor_table(
+  /// Neighbor table of node u as built from received messages, ordered
+  /// by (first coverage time, sender id).
+  [[nodiscard]] std::vector<NeighborRecord> neighbor_table(
       net::NodeId u) const;
 
   /// True iff node u's table contains exactly its ground-truth neighbors
-  /// with exactly the span channel sets.
+  /// with exactly the span channel sets, i.e. every discovery link into u
+  /// is covered.
   [[nodiscard]] bool table_matches_ground_truth(net::NodeId u) const;
 
   /// Per-arc coverage indexed by net::Network arc id: 1 iff the arc is a
@@ -83,7 +93,6 @@ class DiscoveryState {
   // Per-arc state, indexed by arc id: O(arcs), like the network itself.
   std::vector<std::uint8_t> covered_;      // 0/1/2: 2 = not a link
   std::vector<double> first_time_;
-  std::vector<std::vector<NeighborRecord>> tables_;
 };
 
 }  // namespace m2hew::sim

@@ -2,64 +2,53 @@
 
 #include <algorithm>
 
-#include "net/network.hpp"
 #include "util/check.hpp"
 
 namespace m2hew::sim {
 
-EncounterIndex::EncounterIndex(const net::TopologyProvider& provider,
+EncounterIndex::EncounterIndex(const net::EpochTopologyProvider& provider,
                                std::uint64_t epoch_slots,
-                               std::uint64_t max_slots) {
+                               std::uint64_t max_slots)
+    : network_(&provider.union_network()) {
   M2HEW_CHECK(epoch_slots >= 1 && max_slots >= 1);
-  const net::Network& u_net = provider.union_network();
-  const net::NodeId n = u_net.node_count();
   const std::size_t epochs = provider.epoch_count();
 
-  arc_off_.reserve(static_cast<std::size_t>(n) + 1);
-  arc_off_.push_back(0);
-  for (net::NodeId u = 0; u < n; ++u) {
-    for (const net::Network::InLink& in : u_net.in_links(u)) {
-      arc_src_.push_back(in.from);
-      // Walk the epoch schedule for this arc, closing a contact at every
-      // active→absent transition (or at the schedule's end).
-      std::uint64_t run_start = 0;
-      bool in_run = false;
-      for (std::size_t e = 0; e < epochs; ++e) {
-        const bool active = provider.epoch(e).in_span(in.from, u) != nullptr;
-        if (active && !in_run) {
-          in_run = true;
-          run_start = static_cast<std::uint64_t>(e) * epoch_slots;
-        } else if (!active && in_run) {
-          in_run = false;
-          const std::uint64_t run_end =
-              static_cast<std::uint64_t>(e) * epoch_slots;
-          if (run_start < max_slots) {
-            contacts_.push_back({run_start, std::min(run_end, max_slots)});
-          }
+  // Arc ids are receiver-major, so contacts come out in that order.
+  contact_off_.reserve(network_->arc_count() + 1);
+  contact_off_.push_back(0);
+  for (std::size_t arc = 0; arc < network_->arc_count(); ++arc) {
+    // Walk the epoch schedule for this arc, closing a contact at every
+    // live→absent transition (or at the schedule's end).
+    std::uint64_t run_start = 0;
+    bool in_run = false;
+    for (std::size_t e = 0; e < epochs; ++e) {
+      const bool active = provider.live(e)(arc);
+      if (active && !in_run) {
+        in_run = true;
+        run_start = static_cast<std::uint64_t>(e) * epoch_slots;
+      } else if (!active && in_run) {
+        in_run = false;
+        const std::uint64_t run_end =
+            static_cast<std::uint64_t>(e) * epoch_slots;
+        if (run_start < max_slots) {
+          contacts_.push_back({run_start, std::min(run_end, max_slots)});
         }
       }
-      if (in_run) {
-        // The last epoch extends to the end of the trial budget (runs
-        // longer than the schedule stay on the final epoch).
-        if (run_start < max_slots) contacts_.push_back({run_start, max_slots});
-      }
-      contact_off_.push_back(contacts_.size());
     }
-    arc_off_.push_back(arc_src_.size());
+    // The last epoch extends to the end of the trial budget (runs longer
+    // than the schedule stay on the final epoch).
+    if (in_run && run_start < max_slots) {
+      contacts_.push_back({run_start, max_slots});
+    }
+    contact_off_.push_back(contacts_.size());
   }
-  contact_off_.insert(contact_off_.begin(), 0);
 }
 
 std::size_t EncounterIndex::contact_at(net::NodeId sender,
                                        net::NodeId receiver,
                                        std::uint64_t slot) const {
-  const auto begin =
-      arc_src_.begin() + static_cast<std::ptrdiff_t>(arc_off_[receiver]);
-  const auto end =
-      arc_src_.begin() + static_cast<std::ptrdiff_t>(arc_off_[receiver + 1]);
-  const auto it = std::lower_bound(begin, end, sender);
-  if (it == end || *it != sender) return npos;
-  const auto arc = static_cast<std::size_t>(it - arc_src_.begin());
+  const std::size_t arc = network_->in_arc(sender, receiver);
+  if (arc == net::Network::kNoArc) return npos;
 
   // Last contact of this arc starting at or before `slot`.
   const auto c_begin =

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "net/network.hpp"
 #include "net/topology_provider.hpp"
 #include "net/types.hpp"
 
@@ -42,13 +43,15 @@ struct EncounterReport {
 };
 
 /// Immutable contact schedule of a topology provider: for every directed
-/// union arc, the maximal runs of consecutive epochs containing the arc,
+/// union arc, the maximal runs of consecutive epochs with its live bit set,
 /// converted to slot intervals (epoch e spans
 /// [e·epoch_slots, (e+1)·epoch_slots)). Contacts starting at or beyond
 /// `max_slots` are unobservable and dropped; the rest are clamped.
 class EncounterIndex {
  public:
-  EncounterIndex(const net::TopologyProvider& provider,
+  /// The provider must outlive the index (contact_at looks arcs up in its
+  /// union network).
+  EncounterIndex(const net::EpochTopologyProvider& provider,
                  std::uint64_t epoch_slots, std::uint64_t max_slots);
 
   [[nodiscard]] std::size_t contact_count() const noexcept {
@@ -67,12 +70,11 @@ class EncounterIndex {
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
-  // Receiver-major arc CSR mirroring the union network's in-link order,
-  // then a second CSR from arcs into the flat contact list (each arc's
-  // contacts are start-sorted, so contact_at is two binary searches).
-  std::vector<std::size_t> arc_off_;        // node_count + 1
-  std::vector<net::NodeId> arc_src_;        // arc → sender, ascending per u
-  std::vector<std::size_t> contact_off_;    // arc_count + 1
+  // A CSR from union arc ids into the flat contact list (each arc's
+  // contacts are start-sorted, so contact_at is one arc lookup and one
+  // binary search).
+  const net::Network* network_;
+  std::vector<std::size_t> contact_off_;  // arc_count + 1
   std::vector<Contact> contacts_;
 };
 

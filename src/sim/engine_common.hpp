@@ -8,7 +8,6 @@
 // the post-resolution disposition chain all engines share.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -76,10 +75,10 @@ struct EngineCommon {
   FaultPlan<Time> faults;
 
   /// Optional time-varying topology (net/topology_provider.hpp). When set,
-  /// the Network the engine was handed must be the provider's
-  /// union_network(); arcs carry traffic only while present in the
-  /// current epoch. Null = the handed Network is static (today's path).
-  const net::TopologyProvider* topology = nullptr;
+  /// the Network the engine was handed must be the schedule's
+  /// union_network(); a union arc carries traffic only while its live bit
+  /// is set in the current epoch. Null = the handed Network is static.
+  const net::EpochTopologyProvider* topology = nullptr;
 
   /// Epoch duration: slots (slotted engines) or real time (async engine)
   /// per epoch. Epoch e spans [e·epoch_length, (e+1)·epoch_length); runs
@@ -107,34 +106,30 @@ inline void validate_engine_common(const EngineCommon<Time>& config,
   validate_fault_plan(config.faults, nodes, config.loss_probability);
 }
 
-/// Resolves the topology provider an engine should run against, checking
-/// the contract that the engine's Network is the provider's union: the
+/// Resolves the schedule an engine should run against, checking the
+/// contract that the engine's Network is the schedule's union: the
 /// engine's discovery state, policies and completion test all live on the
-/// union network, while the provider's epoch(e) gates which arcs carry
-/// traffic. Returns null for the static single-epoch fast path (no
-/// provider, or a provider whose single epoch IS the engine network).
+/// union network, while the live bits gate which arcs carry traffic.
+/// Returns null for the static path (no schedule, or a single epoch).
 template <typename Time>
-[[nodiscard]] inline const net::TopologyProvider* topology_provider_of(
+[[nodiscard]] inline const net::EpochTopologyProvider* topology_provider_of(
     const EngineCommon<Time>& config, const net::Network& network) {
   if (config.topology == nullptr) return nullptr;
   M2HEW_CHECK_MSG(&config.topology->union_network() == &network,
                   "engine must be built on the provider's union network");
-  if (config.topology->epoch_count() == 1 &&
-      &config.topology->epoch(0) == &network) {
-    return nullptr;  // static case: the union is the only epoch
-  }
+  if (config.topology->epoch_count() == 1) return nullptr;
   M2HEW_CHECK_MSG(config.epoch_length > Time{},
                   "multi-epoch topology needs a positive epoch_length");
   return config.topology;
 }
 
-/// Epoch index in force at time `t`: floor(t / epoch_length), clamped to
-/// the provider's last epoch.
+/// The union arcs live at time `t`: those of epoch floor(t / epoch_length)
+/// (clamped to the last epoch), or every arc on the static path.
 template <typename Time>
-[[nodiscard]] inline std::size_t epoch_at(const net::TopologyProvider& provider,
-                                          Time epoch_length, Time t) {
-  const auto e = static_cast<std::size_t>(t / epoch_length);
-  return std::min(e, provider.epoch_count() - 1);
+[[nodiscard]] inline net::LiveArcs live_arcs_at(
+    const net::EpochTopologyProvider* provider, Time epoch_length, Time t) {
+  if (provider == nullptr) return {};
+  return provider->live(static_cast<std::size_t>(t / epoch_length));
 }
 
 /// External interference at (time, node, channel): the configured PU
@@ -242,10 +237,7 @@ template <typename Time, typename Admit>
   M2HEW_DCHECK(arc != net::Network::kNoArc);
   const AdversaryRole role = faults.role(sender);
   if (role == AdversaryRole::kJammer) return {Disposition::kNoise, sender};
-  if (role == AdversaryRole::kNonResponder &&
-      faults.suppressed(sender, listener)) {
-    return {Disposition::kSuppressed, sender};
-  }
+  if (faults.suppressed(arc)) return {Disposition::kSuppressed, sender};
   if (faults.message_lost(arc, loss_rng, loss_probability)) {
     return {Disposition::kLost, sender};
   }

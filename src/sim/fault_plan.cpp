@@ -64,21 +64,8 @@ FaultState<Time>::FaultState(const net::Network& network,
     jam_channel_.assign(n_, net::kInvalidChannel);
     fake_id_.assign(n_, net::kInvalidNode);
     byz_avail_.resize(n_);
-    victims_.resize(n_);
     fake_heard_.resize(n_);
     honest_blocked_.resize(n_);
-    // Out-adjacency (id-sorted) for the non-responder victim draws; built
-    // on the union network so the victim set is epoch-invariant.
-    std::vector<std::vector<net::NodeId>> out(n_);
-    if (adv.attack == AdversaryAttack::kNonResponder ||
-        adv.attack == AdversaryAttack::kMix) {
-      for (const net::Link link : network.links()) {
-        out[link.from].push_back(link.to);
-      }
-      for (std::vector<net::NodeId>& targets : out) {
-        std::sort(targets.begin(), targets.end());
-      }
-    }
     for (net::NodeId u = 0; u < n_; ++u) {
       // One private stream per node, like the churn schedules. The first
       // four values are drawn unconditionally so (a) the adversary SET is
@@ -123,8 +110,15 @@ FaultState<Time>::FaultState(const net::Network& network,
         fake_ids_.push_back(fake);
         byz_avail_[u] = avail;
       } else {
-        for (const net::NodeId v : out[u]) {
-          if (rng.bernoulli(adv.victim_fraction)) victims_[u].push_back(v);
+        // One victim coin per discovery link u→v, in ascending v, over
+        // the union network so the victim set is epoch-invariant.
+        if (victim_.empty()) victim_.assign(network.arc_count(), 0);
+        for (const net::NodeId v : network.topology().out_neighbors(u)) {
+          const std::size_t arc = network.in_arc(u, v);
+          if (!network.arc_span(arc).empty() &&
+              rng.bernoulli(adv.victim_fraction)) {
+            victim_[arc] = 1;
+          }
         }
       }
     }
@@ -176,17 +170,6 @@ bool FaultState<Time>::message_lost(std::size_t arc, util::Rng& loss_rng,
     return loss_rng.bernoulli(s == 0 ? ge.loss_good : ge.loss_bad);
   }
   return iid_loss > 0.0 && loss_rng.bernoulli(iid_loss);
-}
-
-template <typename Time>
-bool FaultState<Time>::suppressed(net::NodeId sender,
-                                  net::NodeId receiver) const noexcept {
-  if (!adversary_ || role_[sender] != static_cast<std::uint8_t>(
-                                          AdversaryRole::kNonResponder)) {
-    return false;
-  }
-  const std::vector<net::NodeId>& v = victims_[sender];
-  return std::binary_search(v.begin(), v.end(), receiver);
 }
 
 template <typename Time>

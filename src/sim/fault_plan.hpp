@@ -349,10 +349,12 @@ class FaultState {
     return fake_id_[u];
   }
 
-  /// True iff `receiver` is one of non-responder `sender`'s victims: the
-  /// reception is suppressed (reads as silence, no loss draw consumed).
-  [[nodiscard]] bool suppressed(net::NodeId sender,
-                                net::NodeId receiver) const noexcept;
+  /// True iff arc `arc` (net::Network arc id of sender → receiver) runs
+  /// from a non-responder to one of its victims: the reception is
+  /// suppressed (reads as silence, no loss draw consumed).
+  [[nodiscard]] bool suppressed(std::size_t arc) const noexcept {
+    return !victim_.empty() && victim_[arc] != 0;
+  }
 
   /// True iff node u's role replaces its policy (jammer or Byzantine).
   /// Honest nodes and non-responders keep their honest schedule; a
@@ -478,7 +480,7 @@ class FaultState {
   std::vector<net::NodeId> fake_id_;            // n; valid iff kByzantine
   std::vector<net::NodeId> fake_ids_;           // sorted distinct fake IDs in play
   std::vector<std::vector<net::ChannelId>> byz_avail_;  // A(u), Byzantine only
-  std::vector<std::vector<net::NodeId>> victims_;       // sorted, non-responders
+  std::vector<std::uint8_t> victim_;  // per arc; empty without non-responders
   std::vector<std::vector<FakeEntry>> fake_heard_;      // per listener
   std::vector<std::vector<net::NodeId>> honest_blocked_;  // per listener, sorted
 };

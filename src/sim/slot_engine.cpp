@@ -100,18 +100,16 @@ SlotEngineResult run_slotted(
                           .robustness = {}};
   SlotMedium medium(network.universe_size(), config.indexed_reception);
 
-  // Time-varying topology: `cur` is the link set in force this slot,
-  // swapped at epoch boundaries. Policies, discovery state and completion
-  // stay on the union `network`; only reception resolution sees `cur`.
-  const net::TopologyProvider* provider =
+  // Time-varying topology: policies, discovery state and completion stay
+  // on the union `network`; reception resolution skips the union arcs
+  // that are not live this slot.
+  const net::EpochTopologyProvider* provider =
       topology_provider_of(config, network);
-  const net::Network* cur = &network;
 
   for (std::uint64_t slot = 0; slot < config.max_slots; ++slot) {
     ++result.slots_executed;
-    if (provider != nullptr) {
-      cur = &provider->epoch(epoch_at(*provider, config.epoch_length, slot));
-    }
+    const net::LiveArcs live =
+        live_arcs_at(provider, config.epoch_length, slot);
 
     for (net::NodeId u = 0; u < n; ++u) {
       if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
@@ -192,9 +190,9 @@ SlotEngineResult run_slotted(
 
         const SlotMedium::Resolution heard =
             config.indexed_reception
-                ? medium.resolve(*cur, u, c)
+                ? medium.resolve(network, live, u, c)
                 : SlotMedium::resolve_reference(
-                      *cur, u, c, [&](net::NodeId v) {
+                      network, live, u, c, [&](net::NodeId v) {
                         for (const SlotAction& theirs : radios(v)) {
                           if (theirs.mode == Mode::kTransmit &&
                               theirs.channel == c) {
@@ -212,11 +210,9 @@ SlotEngineResult run_slotted(
           continue;
         }
         // A Byzantine message decodes cleanly but announces a fake ID: the
-        // policy hears the announced ID, never the real arc. Per-link state
-        // lives on the union network, so the arc id is resolved there.
-        const std::size_t arc = network.in_arc(heard.sender, u);
+        // policy hears the announced ID, never the real arc.
         const Reception rx = dispose_reception(
-            faults, heard.sender, u, arc, slot, setup.loss_rng(),
+            faults, heard.sender, u, heard.arc, slot, setup.loss_rng(),
             config.loss_probability,
             [&policy](net::NodeId id) { return policy.admit_neighbor(id); });
         observe_outcome(policy, r, listen_outcome(rx.disposition));
@@ -224,7 +220,7 @@ SlotEngineResult run_slotted(
           observe_heard(policy, r, rx.announced, rx.first_fake);
         } else if (rx.disposition == Disposition::kAdmitted) {
           const bool first_time = result.state.record_reception(
-              heard.sender, u, arc, static_cast<double>(slot));
+              heard.sender, u, heard.arc, static_cast<double>(slot));
           observe_heard(policy, r, heard.sender, first_time);
           if (config.on_reception) {
             config.on_reception(slot, heard.sender, u, c);

@@ -17,20 +17,25 @@ void SlotMedium::add_transmitter(net::ChannelId channel, net::NodeId node) {
 }
 
 SlotMedium::Resolution SlotMedium::resolve(const net::Network& network,
+                                           net::LiveArcs live,
                                            net::NodeId listener,
                                            net::ChannelId channel) const {
   // Every bucket entry already transmits on `channel`, so filtering by the
-  // flat in-neighbor adjacency yields exactly the reference scan's match
-  // set — and therefore the same sender/collision outcome.
+  // live in-arcs yields exactly the reference scan's match set — and
+  // therefore the same sender/collision outcome.
   Resolution out;
   for (const net::NodeId v : buckets_[channel]) {
-    const net::ChannelSet* span = network.in_span(v, listener);
-    if (span == nullptr || !span->contains(channel)) continue;
+    const std::size_t arc = network.in_arc(v, listener);
+    if (arc == net::Network::kNoArc || !live(arc) ||
+        !network.arc_span(arc).contains(channel)) {
+      continue;
+    }
     if (out.sender != net::kInvalidNode) {
       out.collision = true;
       break;
     }
     out.sender = v;
+    out.arc = arc;
   }
   return out;
 }

@@ -9,7 +9,7 @@
 //   * indexed: one O(#transmitters) sweep per slot groups transmitters
 //     into per-channel buckets (allocated once, cleared through the
 //     touched list); a listener resolves against only its channel's
-//     bucket through net::Network::in_span(), early-exiting at the second
+//     bucket through net::Network::in_arc(), early-exiting at the second
 //     matching sender;
 //   * reference: the original per-listener scan over the full in-link
 //     list, kept as the executable specification for the equivalence
@@ -18,11 +18,16 @@
 // Both walk candidates in ascending sender id (buckets are filled in node
 // id order; in-link lists are id-sorted), so sender/collision — and
 // therefore policy-callback order and loss-RNG draw order — agree exactly.
+// Under a time-varying topology both skip arcs that are not live this
+// slot, and both report the sender's arc id, the index of all per-link
+// state.
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "net/network.hpp"
+#include "net/topology_provider.hpp"
 #include "net/types.hpp"
 
 namespace m2hew::sim {
@@ -30,9 +35,11 @@ namespace m2hew::sim {
 class SlotMedium {
  public:
   /// Outcome of one (listener, channel) resolution: a unique audible
-  /// sender, a collision, or (kInvalidNode, false) = silence.
+  /// sender with its arc id, a collision, or (kInvalidNode, false) =
+  /// silence.
   struct Resolution {
     net::NodeId sender = net::kInvalidNode;
+    std::size_t arc = net::Network::kNoArc;
     bool collision = false;
   };
 
@@ -49,9 +56,9 @@ class SlotMedium {
   void add_transmitter(net::ChannelId channel, net::NodeId node);
 
   /// Indexed resolution of (listener, channel) against this slot's
-  /// buckets.
+  /// buckets, over the live arcs of `network`.
   [[nodiscard]] Resolution resolve(const net::Network& network,
-                                   net::NodeId listener,
+                                   net::LiveArcs live, net::NodeId listener,
                                    net::ChannelId channel) const;
 
   /// Reference resolution: scan the listener's in-links, asking the
@@ -60,16 +67,22 @@ class SlotMedium {
   /// bit-identical to resolve() for the same transmitter set.
   template <typename TransmitsOn>
   [[nodiscard]] static Resolution resolve_reference(
-      const net::Network& network, net::NodeId listener,
+      const net::Network& network, net::LiveArcs live, net::NodeId listener,
       net::ChannelId channel, const TransmitsOn& transmits_on) {
     Resolution out;
-    for (const net::Network::InLink& in : network.in_links(listener)) {
-      if (!transmits_on(in.from) || !in.span->contains(channel)) continue;
+    const std::size_t first = network.first_in_arc(listener);
+    const auto in = network.in_links(listener);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (!transmits_on(in[k].from) || !live(first + k) ||
+          !in[k].span->contains(channel)) {
+        continue;
+      }
       if (out.sender != net::kInvalidNode) {
         out.collision = true;
         break;
       }
-      out.sender = in.from;
+      out.sender = in[k].from;
+      out.arc = first + k;
     }
     return out;
   }

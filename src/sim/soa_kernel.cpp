@@ -55,24 +55,6 @@ SoaSlotKernel::SoaSlotKernel(const net::Network& network)
   hop_clock_.resize(n_);
 }
 
-void SoaSlotKernel::refresh_active(const net::TopologyProvider& provider,
-                                   std::size_t e) {
-  if (active_provider_ == &provider && active_epoch_ == e &&
-      !active_.empty()) {
-    return;
-  }
-  active_.resize(in_src_.size());
-  const net::Network& net = provider.epoch(e);
-  for (net::NodeId u = 0; u < n_; ++u) {
-    const std::size_t arcs_end = in_off_[u + 1];
-    for (std::size_t arc = in_off_[u]; arc < arcs_end; ++arc) {
-      active_[arc] = net.in_span(in_src_[arc], u) != nullptr ? 1 : 0;
-    }
-  }
-  active_provider_ = &provider;
-  active_epoch_ = e;
-}
-
 SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
                                        const SlotEngineConfig& config) {
   const net::NodeId n = n_;
@@ -108,26 +90,18 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   const double* const p_staged = table.p_staged.data();
   const double* const p_constant = table.p_constant.data();
 
-  // Time-varying topology: the CSR/coverage stay on the union network;
-  // `active_` masks which union arcs exist in the current epoch. `masked`
-  // is trial-invariant, so the static case pays one predictable branch.
-  const net::TopologyProvider* provider =
+  // Time-varying topology: the CSR/coverage stay on the union network,
+  // whose arc ids the schedule's live bits index. The static path's view
+  // has every arc live.
+  const net::EpochTopologyProvider* provider =
       topology_provider_of(config, *network_);
-  const bool masked = provider != nullptr;
-  if (masked) {
-    refresh_active(*provider, epoch_at(*provider, config.epoch_length,
-                                       std::uint64_t{0}));
-  }
 
   // Steady state below this line performs no allocation: all arrays are
-  // owned by the kernel or the result and sized above (the epoch mask is
-  // sized at refresh_active's first call and reused).
+  // owned by the kernel or the result and sized above.
   for (std::uint64_t slot = 0; slot < config.max_slots; ++slot) {
     ++result.slots_executed;
-    if (masked) {
-      refresh_active(*provider,
-                     epoch_at(*provider, config.epoch_length, slot));
-    }
+    const net::LiveArcs live =
+        live_arcs_at(provider, config.epoch_length, slot);
 
     // Action pass: identical draw order to the virtual policies — under
     // the uniform channel law one uniform channel pick then one Bernoulli
@@ -223,7 +197,7 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
       for (std::size_t arc = in_off_[u]; arc < arcs_end; ++arc) {
         const net::NodeId v = in_src_[arc];
         if (mode_[v] != Mode::kTransmit || channel_[v] != c) continue;
-        if (masked && active_[arc] == 0) continue;
+        if (!live(arc)) continue;
         if ((span_words_[arc * span_stride_ + word] & bit) == 0) continue;
         if (sender != net::kInvalidNode) {
           collision = true;

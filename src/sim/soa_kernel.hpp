@@ -3,8 +3,8 @@
 // claims live in.
 //
 // run_slot_engine pays, per node per slot, a virtual policy dispatch and
-// (per trial) a heap-allocated policy object plus a DiscoveryState with
-// per-node neighbor tables. This kernel replaces all three:
+// (per trial) a heap-allocated policy object plus a DiscoveryState. This
+// kernel replaces all three:
 //
 //   * policy-as-data  — per-node flat arrays (stage counter, stage length,
 //     degree estimate) stepped against a precomputed probability matrix
@@ -81,16 +81,12 @@ class SoaSlotKernel {
   /// other knob — seed, loss, interference, starts, faults, max_slots,
   /// stop_when_complete, on_reception, topology/epoch_length — behaves
   /// exactly as in run_slot_engine. With a multi-epoch provider the kernel
-  /// must have been flattened from the provider's union network.
+  /// must have been flattened from the provider's union network; its arc
+  /// ids are the ones the provider's live bits index.
   [[nodiscard]] SoaSlotKernelResult run(const SoaPolicyTable& table,
                                         const SlotEngineConfig& config);
 
  private:
-  /// Rebuilds the per-arc epoch-activity mask for `e` (cached on
-  /// (provider, epoch), so consecutive slots of one epoch — and repeated
-  /// trials over the same provider — pay nothing).
-  void refresh_active(const net::TopologyProvider& provider, std::size_t e);
-
   const net::Network* network_;
   net::NodeId n_ = 0;
   std::size_t span_stride_ = 0;  // words per span slice
@@ -112,15 +108,6 @@ class SoaSlotKernel {
   /// Consistent-hop channel law only: node-local active-slot clock
   /// (resets with the policy on churn recovery, like a fresh oracle).
   std::vector<std::uint64_t> hop_clock_;
-
-  /// Time-varying topology support (config.topology set): the kernel's
-  /// CSR stays flattened from the UNION network; this per-arc byte mask
-  /// marks which union arcs exist in the cached epoch. Sized lazily at
-  /// the first multi-epoch run, then reused — the slot loop itself never
-  /// allocates.
-  std::vector<std::uint8_t> active_;
-  const net::TopologyProvider* active_provider_ = nullptr;
-  std::size_t active_epoch_ = 0;
 };
 
 /// One-shot convenience wrapper: flatten, run one trial, return.

@@ -64,6 +64,29 @@ TEST(DiscoveryState, NeighborTablesHoldSpans) {
   EXPECT_EQ(table[0].common_channels, network.span(0, 1));
 }
 
+TEST(DiscoveryState, NeighborTableOrdersByTimeThenSender) {
+  // Node 1 hears 2 before 0: first-coverage order.
+  const net::Network network = make_path_network();
+  DiscoveryState later(network);
+  later.record_reception(2, 1, 3.0);
+  later.record_reception(0, 1, 5.0);
+  const auto by_time = later.neighbor_table(1);
+  ASSERT_EQ(by_time.size(), 2u);
+  EXPECT_EQ(by_time[0].neighbor, 2u);
+  EXPECT_EQ(by_time[1].neighbor, 0u);
+
+  // Two first receptions in one slot (two radios): the sender id breaks
+  // the tie, whatever order they were recorded in.
+  DiscoveryState same_slot(network);
+  same_slot.record_reception(2, 1, 4.0);
+  same_slot.record_reception(0, 1, 4.0);
+  const auto tied = same_slot.neighbor_table(1);
+  ASSERT_EQ(tied.size(), 2u);
+  EXPECT_EQ(tied[0].neighbor, 0u);
+  EXPECT_EQ(tied[1].neighbor, 2u);
+  EXPECT_EQ(tied[1].common_channels, network.span(2, 1));
+}
+
 TEST(DiscoveryState, GroundTruthComparison) {
   const net::Network network = make_path_network();
   DiscoveryState state(network);

@@ -1,9 +1,9 @@
 // Contact bookkeeping for time-varying topologies (sim/encounter.hpp).
 //
 // EncounterIndex derives the contact schedule — maximal runs of
-// consecutive epochs in which a directed arc exists — from a
-// TopologyProvider, and EncounterTracker latches the first reception
-// inside each contact. The scripted provider below pins the exact
+// consecutive epochs in which a directed arc is live — from an epoch
+// schedule, and EncounterTracker latches the first reception inside each
+// contact. The scripted schedule below pins the exact
 // schedule semantics: run merging across epochs, clamping to the trial
 // budget, the trailing run extending to max_slots (simulations past the
 // schedule stay on the last epoch), and contacts starting at or beyond
@@ -24,46 +24,30 @@
 namespace m2hew {
 namespace {
 
-// A provider with a hand-written epoch schedule (all nodes on channel 0,
-// so every arc is a discovery link whenever it exists):
+[[nodiscard]] net::Topology make_topology(
+    const std::vector<std::pair<net::NodeId, net::NodeId>>& edges) {
+  net::Topology topology(3);
+  for (const auto& [a, b] : edges) topology.add_edge(a, b);
+  topology.finalize();
+  return topology;
+}
+
+// A hand-written epoch schedule (all nodes on channel 0, so every arc is
+// a discovery link whenever it exists):
 //   epoch 0: 0-1          epoch 1: 0-1, 1-2       epoch 2: 1-2
 // Union: 0-1, 1-2. With epoch_slots = 10 and max_slots = 30 the contact
 // schedule is [0, 20) for both directions of 0-1 and [10, 30) for both
 // directions of 1-2 (the 1-2 run is still open when the schedule ends).
-class ScriptedProvider final : public net::TopologyProvider {
- public:
-  ScriptedProvider() {
-    epochs_.push_back(make_network({{0, 1}}));
-    epochs_.push_back(make_network({{0, 1}, {1, 2}}));
-    epochs_.push_back(make_network({{1, 2}}));
-    union_.push_back(make_network({{0, 1}, {1, 2}}));
-  }
-
-  [[nodiscard]] std::size_t epoch_count() const noexcept override {
-    return epochs_.size();
-  }
-  [[nodiscard]] const net::Network& epoch(std::size_t e) const override {
-    return epochs_[e];
-  }
-  [[nodiscard]] const net::Network& union_network() const override {
-    return union_.front();
-  }
-
- private:
-  [[nodiscard]] static net::Network make_network(
-      const std::vector<std::pair<net::NodeId, net::NodeId>>& edges) {
-    net::Topology topology(3);
-    for (const auto& [a, b] : edges) topology.add_edge(a, b);
-    topology.finalize();
-    return {std::move(topology), net::homogeneous_assignment(3, 1, 1)};
-  }
-
-  std::vector<net::Network> epochs_;
-  std::vector<net::Network> union_;
-};
+[[nodiscard]] net::EpochTopologyProvider scripted_schedule() {
+  std::vector<net::Topology> epochs;
+  epochs.push_back(make_topology({{0, 1}}));
+  epochs.push_back(make_topology({{0, 1}, {1, 2}}));
+  epochs.push_back(make_topology({{1, 2}}));
+  return {std::move(epochs), net::homogeneous_assignment(3, 1, 1)};
+}
 
 TEST(EncounterIndex, DerivesContactRunsFromEpochSchedule) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   const sim::EncounterIndex index(provider, /*epoch_slots=*/10,
                                   /*max_slots=*/30);
 
@@ -93,7 +77,7 @@ TEST(EncounterIndex, DerivesContactRunsFromEpochSchedule) {
 }
 
 TEST(EncounterIndex, ClampsContactsToTheTrialBudget) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   // Budget ends mid-contact: [10, 30) clamps to [10, 25).
   const sim::EncounterIndex index(provider, 10, 25);
   const std::size_t c = index.contact_at(1, 2, 12);
@@ -104,7 +88,7 @@ TEST(EncounterIndex, ClampsContactsToTheTrialBudget) {
 }
 
 TEST(EncounterIndex, DropsContactsStartingBeyondTheBudget) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   // max_slots = 10 ends the trial exactly when 1-2 would open: only the
   // two 0-1 contacts remain (clamped to [0, 10)).
   const sim::EncounterIndex index(provider, 10, 10);
@@ -116,7 +100,7 @@ TEST(EncounterIndex, DropsContactsStartingBeyondTheBudget) {
 }
 
 TEST(EncounterIndex, TrailingRunExtendsPastTheSchedule) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   // A run longer than the schedule stays on the last epoch, so the open
   // 1-2 contact stretches to the full budget.
   const sim::EncounterIndex index(provider, 10, 50);
@@ -129,15 +113,12 @@ TEST(EncounterIndex, TrailingRunExtendsPastTheSchedule) {
 }
 
 TEST(EncounterIndex, SingleEpochProviderYieldsOneContactPerArc) {
-  net::Topology topology(3);
-  topology.add_edge(0, 1);
-  topology.add_edge(1, 2);
-  topology.finalize();
-  const net::Network network(std::move(topology),
-                             net::homogeneous_assignment(3, 1, 1));
-  const net::StaticTopologyProvider provider(network);
+  std::vector<net::Topology> epochs;
+  epochs.push_back(make_topology({{0, 1}, {1, 2}}));
+  const net::EpochTopologyProvider provider(
+      std::move(epochs), net::homogeneous_assignment(3, 1, 1));
   const sim::EncounterIndex index(provider, 10, 123);
-  EXPECT_EQ(index.contact_count(), network.links().size());
+  EXPECT_EQ(index.contact_count(), provider.union_network().links().size());
   for (const sim::Contact& contact : index.contacts()) {
     EXPECT_EQ(contact.start_slot, 0u);
     EXPECT_EQ(contact.end_slot, 123u);
@@ -145,7 +126,7 @@ TEST(EncounterIndex, SingleEpochProviderYieldsOneContactPerArc) {
 }
 
 TEST(EncounterTracker, LatchesFirstDetectionPerContact) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   const sim::EncounterIndex index(provider, 10, 30);
   sim::EncounterTracker tracker(index);
 
@@ -170,7 +151,7 @@ TEST(EncounterTracker, LatchesFirstDetectionPerContact) {
 }
 
 TEST(EncounterTracker, FreshTrackerReportsAllContactsMissed) {
-  const ScriptedProvider provider;
+  const net::EpochTopologyProvider provider = scripted_schedule();
   const sim::EncounterIndex index(provider, 10, 30);
   const sim::EncounterTracker tracker(index);
   const sim::EncounterReport report = tracker.report();

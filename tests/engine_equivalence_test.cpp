@@ -291,9 +291,9 @@ TEST_P(EngineEquivalence, AsyncEngineIndexedMatchesReference) {
 }
 
 // A moving epoch schedule for the dynamic-topology legs below: the
-// indexed/reference contract must also hold while the engines swap
-// adjacency at epoch boundaries (net/topology_provider.hpp) — both paths
-// filter receptions through the same per-epoch network.
+// indexed/reference contract must also hold while the live arcs change at
+// epoch boundaries (net/topology_provider.hpp) — both paths filter
+// receptions through the same per-epoch live bits.
 [[nodiscard]] net::MobilityConfig mobility_config(std::uint64_t seed,
                                                   net::NodeId n) {
   net::MobilityConfig config;

@@ -230,9 +230,9 @@ TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
 }
 
 // The dynamic-topology leg: under a moving epoch schedule the kernel
-// filters its immutable union CSR through the per-epoch active-arc mask;
-// the oracle swaps whole adjacency views. Identity must survive the
-// filter — same candidate order, same RNG draws, same receptions.
+// filters its immutable union CSR through the epoch's live bits, as the
+// oracle's reception resolution does. Identity must survive the filter —
+// same candidate order, same RNG draws, same receptions.
 TEST_P(SoaKernelEquivalence, MatchesSlotEngineUnderEpochSchedule) {
   const std::uint64_t seed = GetParam() + soak_offset();
   util::Rng rng(seed ^ 0x50B);

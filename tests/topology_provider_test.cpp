@@ -1,23 +1,23 @@
-// Contract tests for net::TopologyProvider (net/topology_provider.hpp).
+// Contract tests for net::EpochTopologyProvider (net/topology_provider.hpp).
 //
-// Structural properties first: StaticTopologyProvider wraps by reference,
-// a single-epoch EpochTopologyProvider degenerates to the static case
-// (union IS epoch 0), schedules are a pure function of (config, seed),
-// and the union network contains every epoch's arcs.
+// Structural properties first: a single-epoch schedule degenerates to the
+// static case (the union IS epoch 0, every arc live), schedules are a pure
+// function of (config, seed), and epoch e's live bits are exactly the
+// unit-disk arcs at that epoch's random-waypoint positions.
 //
 // Then the load-bearing equivalence: a *frozen* multi-epoch schedule
 // (speed 0, so every epoch carries the same link set) must be
 // bit-identical to running the plain static engine on a network built
 // from the same topology and assignment — across the slot, async and
 // multi-radio engines and the SoA kernel, with randomized fault plans,
-// loss, interference and start patterns. This proves the per-epoch
-// adjacency swap (and the SoA active-arc mask) is a pure filter: when it
-// filters nothing, nothing changes — the dynamic path costs no
-// correctness relative to the static one.
+// loss, interference and start patterns. This proves the live-bit test is
+// a pure filter: when it filters nothing, nothing changes — the dynamic
+// path costs no correctness relative to the static one.
 #include "net/topology_provider.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
@@ -31,6 +31,8 @@
 #include "net/channel_assign.hpp"
 #include "net/mobility.hpp"
 #include "net/network.hpp"
+#include "net/topology.hpp"
+#include "net/topology_gen.hpp"
 #include "sim/async_engine.hpp"
 #include "sim/clock.hpp"
 #include "sim/fault_plan.hpp"
@@ -143,30 +145,64 @@ void expect_same_arcs(const net::Network& a, const net::Network& b) {
   }
 }
 
-TEST(StaticTopologyProvider, WrapsNetworkByReference) {
-  util::Rng rng(3);
-  auto assignment = net::uniform_random_assignment(6, 6, 3, rng);
-  net::Topology topology(6);
-  topology.add_edge(0, 1);
-  topology.add_edge(1, 2);
-  topology.finalize();
-  const net::Network network(std::move(topology), std::move(assignment));
+using ArcSet = std::vector<std::pair<net::NodeId, net::NodeId>>;
 
-  const net::StaticTopologyProvider provider(network);
-  EXPECT_EQ(provider.epoch_count(), 1u);
-  EXPECT_EQ(&provider.epoch(0), &network);
-  EXPECT_EQ(&provider.union_network(), &network);
+// The (from, to) pairs whose live bit is set in epoch e, sorted.
+[[nodiscard]] ArcSet live_arcs(const net::EpochTopologyProvider& provider,
+                               std::size_t e) {
+  const net::Network& u_net = provider.union_network();
+  const net::LiveArcs live = provider.live(e);
+  ArcSet out;
+  for (net::NodeId u = 0; u < u_net.node_count(); ++u) {
+    const auto in = u_net.in_links(u);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      if (live(u_net.first_in_arc(u) + k)) out.emplace_back(in[k].from, u);
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// The arcs of a topology as (from, to) pairs, sorted.
+[[nodiscard]] ArcSet sorted_arcs(const net::Topology& topology) {
+  ArcSet out(topology.arcs().begin(), topology.arcs().end());
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// Epoch e's topology recomputed from the mobility model's positions.
+[[nodiscard]] std::vector<net::Topology> model_epochs(
+    const net::MobilityConfig& config, std::uint64_t seed) {
+  net::RandomWaypointModel model(config, seed);
+  std::vector<net::Topology> epochs;
+  for (std::size_t e = 0; e < config.epochs; ++e) {
+    if (e > 0) model.advance_epoch();
+    epochs.push_back(
+        net::unit_disk_topology(model.positions(), config.side, config.radius));
+  }
+  return epochs;
 }
 
 TEST(EpochTopologyProvider, SingleEpochUnionIsEpochZero) {
   util::Rng rng(5);
   const auto assignment = net::uniform_random_assignment(12, 6, 3, rng);
-  const net::EpochTopologyProvider provider(
-      mobile_config(12, 0.1, /*epochs=*/1), assignment, 7);
+  const net::MobilityConfig config = mobile_config(12, 0.1, /*epochs=*/1);
+  const net::EpochTopologyProvider provider(config, assignment, 7);
   EXPECT_EQ(provider.epoch_count(), 1u);
-  // The static degenerate case: no union copy is built, so engines take
-  // the zero-cost path (topology_provider_of returns nullptr for this).
-  EXPECT_EQ(&provider.union_network(), &provider.epoch(0));
+  // The static degenerate case: the union is epoch 0's topology in its
+  // own arc order, every arc is live, and engines take the zero-cost path.
+  const net::Topology epoch0 = model_epochs(config, 7).front();
+  const net::Network& u_net = provider.union_network();
+  ASSERT_EQ(u_net.topology().arc_count(), epoch0.arc_count());
+  for (std::size_t i = 0; i < epoch0.arc_count(); ++i) {
+    EXPECT_EQ(u_net.topology().arcs()[i], epoch0.arcs()[i]) << "arc " << i;
+  }
+  for (std::size_t arc = 0; arc < u_net.arc_count(); ++arc) {
+    EXPECT_TRUE(provider.live(0)(arc)) << "arc " << arc;
+  }
+  sim::SlotEngineConfig engine;
+  engine.topology = &provider;
+  EXPECT_EQ(sim::topology_provider_of(engine, u_net), nullptr);
 }
 
 TEST(EpochTopologyProvider, ScheduleIsAPureFunctionOfConfigAndSeed) {
@@ -178,42 +214,35 @@ TEST(EpochTopologyProvider, ScheduleIsAPureFunctionOfConfigAndSeed) {
   const net::EpochTopologyProvider b(config, assignment, 99);
   ASSERT_EQ(a.epoch_count(), b.epoch_count());
   for (std::size_t e = 0; e < a.epoch_count(); ++e) {
-    const auto pa = a.positions(e);
-    const auto pb = b.positions(e);
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t u = 0; u < pa.size(); ++u) {
-      EXPECT_EQ(pa[u].x, pb[u].x) << "epoch " << e << " node " << u;
-      EXPECT_EQ(pa[u].y, pb[u].y) << "epoch " << e << " node " << u;
-    }
-    expect_same_arcs(a.epoch(e), b.epoch(e));
+    EXPECT_EQ(live_arcs(a, e), live_arcs(b, e)) << "epoch " << e;
   }
   expect_same_arcs(a.union_network(), b.union_network());
 
   // A different seed places nodes elsewhere.
   const net::EpochTopologyProvider c(config, assignment, 100);
-  bool any_differs = false;
-  for (std::size_t u = 0; u < 24; ++u) {
-    any_differs |= a.positions(0)[u].x != c.positions(0)[u].x;
-  }
-  EXPECT_TRUE(any_differs);
+  EXPECT_NE(live_arcs(a, 0), live_arcs(c, 0));
 }
 
 TEST(EpochTopologyProvider, UnionContainsEveryEpochArc) {
   util::Rng rng(17);
   const auto assignment = net::uniform_random_assignment(32, 6, 3, rng);
-  const net::EpochTopologyProvider provider(mobile_config(32, 0.2, 8),
-                                            assignment, 21);
-  const net::Network& u_net = provider.union_network();
+  const net::MobilityConfig config = mobile_config(32, 0.2, 8);
+  const net::EpochTopologyProvider provider(config, assignment, 21);
+  const std::vector<net::Topology> epochs = model_epochs(config, 21);
+  ASSERT_EQ(provider.epoch_count(), epochs.size());
+  ArcSet every;
   for (std::size_t e = 0; e < provider.epoch_count(); ++e) {
-    const net::Network& epoch = provider.epoch(e);
-    for (net::NodeId u = 0; u < epoch.node_count(); ++u) {
-      for (const net::Network::InLink& in : epoch.in_links(u)) {
-        EXPECT_NE(u_net.in_span(in.from, u), nullptr)
-            << "epoch " << e << " arc " << in.from << "->" << u
-            << " missing from the union";
-      }
-    }
+    const ArcSet expected = sorted_arcs(epochs[e]);
+    EXPECT_EQ(live_arcs(provider, e), expected) << "epoch " << e;
+    every.insert(every.end(), expected.begin(), expected.end());
   }
+  // The union holds nothing beyond the epochs' arcs.
+  std::sort(every.begin(), every.end());
+  every.erase(std::unique(every.begin(), every.end()), every.end());
+  EXPECT_EQ(sorted_arcs(provider.union_network().topology()), every);
+  // Past the last epoch the schedule stays on it.
+  EXPECT_EQ(live_arcs(provider, provider.epoch_count() + 3),
+            live_arcs(provider, provider.epoch_count() - 1));
 }
 
 TEST(EpochTopologyProvider, ZeroSpeedFreezesTheSchedule) {
@@ -222,19 +251,17 @@ TEST(EpochTopologyProvider, ZeroSpeedFreezesTheSchedule) {
   const net::EpochTopologyProvider provider(mobile_config(20, 0.0, 5),
                                             assignment, 31);
   for (std::size_t e = 1; e < provider.epoch_count(); ++e) {
-    for (std::size_t u = 0; u < 20; ++u) {
-      EXPECT_EQ(provider.positions(e)[u].x, provider.positions(0)[u].x);
-      EXPECT_EQ(provider.positions(e)[u].y, provider.positions(0)[u].y);
-    }
-    expect_same_arcs(provider.epoch(e), provider.epoch(0));
+    EXPECT_EQ(live_arcs(provider, e), live_arcs(provider, 0)) << "epoch " << e;
   }
-  expect_same_arcs(provider.union_network(), provider.epoch(0));
+  EXPECT_EQ(sorted_arcs(provider.union_network().topology()),
+            live_arcs(provider, 0));
 }
 
 // ---------------------------------------------------------------------------
 // Frozen-schedule equivalence: a speed-0 multi-epoch provider (the union
-// is a genuinely separate Network object and the per-epoch swap runs at
-// every boundary) must match the plain static engine bit for bit.
+// is built from the epochs' edges, not from epoch 0's topology, and the
+// engines take their masked path) must match the plain static engine bit
+// for bit.
 
 struct FrozenFixture {
   std::unique_ptr<net::EpochTopologyProvider> provider;
@@ -251,12 +278,12 @@ struct FrozenFixture {
       (seed % 3 == 0)
           ? net::variable_size_random_assignment(f.n, 7, 2, 5, rng)
           : net::uniform_random_assignment(f.n, 6, 3, rng);
-  f.provider = std::make_unique<net::EpochTopologyProvider>(
-      mobile_config(f.n, 0.0, 2 + seed % 3), assignment, seed);
+  const net::MobilityConfig config = mobile_config(f.n, 0.0, 2 + seed % 3);
+  f.provider =
+      std::make_unique<net::EpochTopologyProvider>(config, assignment, seed);
   // Same arcs, same assignment, but a Network built the static way.
-  net::Topology topology = f.provider->epoch(0).topology();
-  f.static_network =
-      std::make_unique<net::Network>(std::move(topology), assignment);
+  f.static_network = std::make_unique<net::Network>(
+      std::move(model_epochs(config, seed).front()), assignment);
   f.epoch_length = 60 + 20 * (seed % 3);
   return f;
 }
