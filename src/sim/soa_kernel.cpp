@@ -1,7 +1,8 @@
 #include "sim/soa_kernel.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <bit>
+#include <cstddef>
 
 #include "sim/engine_common.hpp"
 #include "sim/trial_setup.hpp"
@@ -26,6 +27,8 @@ SoaSlotKernel::SoaSlotKernel(const net::Network& network)
       n_(network.node_count()),
       span_stride_(net::ChannelSet::word_count(network.universe_size())),
       total_links_(network.links().size()) {
+  M2HEW_CHECK_MSG(network.arc_count() < kCollided,
+                  "SoA kernel arc ids are 32-bit");
   avail_off_.reserve(static_cast<std::size_t>(n_) + 1);
   avail_off_.push_back(0);
   for (net::NodeId u = 0; u < n_; ++u) {
@@ -34,25 +37,36 @@ SoaSlotKernel::SoaSlotKernel(const net::Network& network)
     avail_off_.push_back(avail_flat_.size());
   }
 
-  in_off_.reserve(static_cast<std::size_t>(n_) + 1);
-  in_off_.push_back(0);
+  // Out-arc CSR by counting sort over the in-link CSR: walking receivers
+  // in ascending order leaves each sender's out-arcs in receiver order.
+  out_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
   for (net::NodeId u = 0; u < n_; ++u) {
     for (const net::Network::InLink& in : network.in_links(u)) {
-      in_src_.push_back(in.from);
-      const auto words = in.span->words();
-      span_words_.insert(span_words_.end(), words.begin(), words.end());
-      // Narrow universes can yield zero-word spans; keep the stride.
-      span_words_.resize(in_src_.size() * span_stride_, 0);
+      ++out_off_[in.from + 1];
     }
-    in_off_.push_back(in_src_.size());
+  }
+  for (net::NodeId v = 0; v < n_; ++v) out_off_[v + 1] += out_off_[v];
+  out_.resize(network.arc_count());
+  span_words_.assign(network.arc_count() * span_stride_, 0);
+  std::vector<std::uint32_t> cursor(out_off_.begin(), out_off_.end() - 1);
+  for (net::NodeId u = 0; u < n_; ++u) {
+    const std::size_t first = network.first_in_arc(u);
+    const auto in = network.in_links(u);
+    for (std::size_t k = 0; k < in.size(); ++k) {
+      const std::uint32_t at = cursor[in[k].from]++;
+      out_[at] = {u, static_cast<std::uint32_t>(first + k)};
+      // Narrow universes can yield spans with fewer words than the stride.
+      const auto words = in[k].span->words();
+      std::copy_n(words.begin(), std::min(words.size(), span_stride_),
+                  span_words_.begin() +
+                      static_cast<std::ptrdiff_t>(at * span_stride_));
+    }
   }
 
-  mode_.resize(n_);
-  channel_.resize(n_);
-  slot_in_stage_.resize(n_);
-  stage_slots_.resize(n_);
-  estimate_.resize(n_);
-  hop_clock_.resize(n_);
+  listen_.resize(n_);
+  tx_.reserve(n_);
+  hit_arc_.resize(n_);
+  hits_.resize((static_cast<std::size_t>(n_) + 63) / 64);
 }
 
 SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
@@ -75,16 +89,20 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   result.network = network_;
   result.activity.assign(n, RadioActivity{});
   result.total_links = total_links_;
-  result.covered.assign(in_src_.size(), 0);
-  result.first_slot.assign(in_src_.size(), -1.0);
+  result.covered.assign(network_->arc_count(), 0);
+  result.first_slot.assign(network_->arc_count(), -1.0);
 
-  // Per-trial policy state: every node starts one fresh policy.
-  std::fill(slot_in_stage_.begin(), slot_in_stage_.end(), 0u);
-  std::fill(stage_slots_.begin(), stage_slots_.end(),
-            table.initial_stage_slots);
-  std::fill(estimate_.begin(), estimate_.end(),
-            static_cast<std::uint64_t>(table.initial_estimate));
-  std::fill(hop_clock_.begin(), hop_clock_.end(), std::uint64_t{0});
+  // A run that an on_reception exception cut short may have left hits.
+  std::fill(hits_.begin(), hits_.end(), std::uint64_t{0});
+
+  // Per-trial policy state: every node starts one fresh policy. Arrays
+  // the table's law never reads stay empty.
+  const bool hop = table.channel_law == SoaChannelLaw::kConsistentHop;
+  slot_in_stage_.assign(table.staged ? n : 0, 0u);
+  stage_slots_.assign(table.staged ? n : 0, table.initial_stage_slots);
+  estimate_.assign(table.escalating ? n : 0,
+                   static_cast<std::uint64_t>(table.initial_estimate));
+  hop_clock_.assign(hop ? n : 0, std::uint64_t{0});
 
   const unsigned p_stride = SoaPolicyTable::kMaxStageSlot + 1;
   const double* const p_staged = table.p_staged.data();
@@ -103,127 +121,143 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
     const net::LiveArcs live =
         live_arcs_at(provider, config.epoch_length, slot);
 
-    // Action pass: identical draw order to the virtual policies — under
-    // the uniform channel law one uniform channel pick then one Bernoulli
-    // coin; under the consistent-hop law the channel is a table lookup
-    // and only the coin draws (the staged/constant probabilities are
-    // always in (0, 1/2], so the coin always draws).
+    // Action pass, one visit per node: draw the action, let a transmitter
+    // sensing an active PU on its channel vacate (radio idle this slot),
+    // tally the mode from the node's start slot on, and record listeners
+    // and transmitters. Draw order is identical to the virtual policies:
+    // under the uniform channel law one uniform channel pick then one
+    // Bernoulli coin; under the consistent-hop law the channel is a table
+    // lookup and only the coin draws (the staged/constant probabilities
+    // are always in (0, 1/2], so the coin always draws).
+    tx_.clear();
     for (net::NodeId u = 0; u < n; ++u) {
+      listen_[u] = net::kInvalidChannel;
       if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
-        mode_[u] = Mode::kQuiet;
         continue;
       }
-      // Adversary roles replace the policy table entry, with draws
-      // matching the slot engine's bit-identically.
+      SlotAction action;
       if (faults.scripted(u)) {
-        const SlotAction action = faults.adversary_action(u, streams.rng(u));
-        mode_[u] = action.mode;
-        channel_[u] = action.channel;
-        continue;
-      }
-      if (faults.consume_reset(u, slot)) {
-        slot_in_stage_[u] = 0;
-        stage_slots_[u] = table.initial_stage_slots;
-        estimate_[u] = static_cast<std::uint64_t>(table.initial_estimate);
-        hop_clock_[u] = 0;
-      }
-      util::Rng& rng = streams.rng(u);
-      const std::size_t off = avail_off_[u];
-      const std::size_t len = avail_off_[u + 1] - off;
-      if (table.channel_law == SoaChannelLaw::kConsistentHop) {
-        const std::size_t w =
-            static_cast<std::size_t>(hop_clock_[u]++ % table.hop_period);
-        channel_[u] =
-            table.hop_map[static_cast<std::size_t>(u) * table.hop_period + w];
+        // Adversary roles replace the policy table entry, with draws
+        // matching the slot engine's bit-identically.
+        action = faults.adversary_action(u, streams.rng(u));
       } else {
-        channel_[u] =
-            avail_flat_[off + static_cast<std::size_t>(rng.uniform(len))];
-      }
-      double p;
-      if (table.staged) {
-        const unsigned i = slot_in_stage_[u] + 1;  // paper's index, 1-based
-        p = p_staged[len * p_stride + i];
-        if (table.escalating) {
-          if (++slot_in_stage_[u] == stage_slots_[u]) {
+        if (faults.consume_reset(u, slot)) {
+          if (table.staged) {
             slot_in_stage_[u] = 0;
-            if (estimate_[u] < SoaPolicyTable::kEstimateCap) {
-              estimate_[u] =
-                  table.escalate_double ? estimate_[u] * 2 : estimate_[u] + 1;
+            stage_slots_[u] = table.initial_stage_slots;
+          }
+          if (table.escalating) {
+            estimate_[u] = static_cast<std::uint64_t>(table.initial_estimate);
+          }
+          if (hop) hop_clock_[u] = 0;
+        }
+        util::Rng& rng = streams.rng(u);
+        const std::size_t off = avail_off_[u];
+        const std::size_t len = avail_off_[u + 1] - off;
+        if (hop) {
+          const std::size_t w =
+              static_cast<std::size_t>(hop_clock_[u]++ % table.hop_period);
+          action.channel =
+              table.hop_map[static_cast<std::size_t>(u) * table.hop_period +
+                            w];
+        } else {
+          action.channel =
+              avail_flat_[off + static_cast<std::size_t>(rng.uniform(len))];
+        }
+        double p;
+        if (table.staged) {
+          const unsigned i = slot_in_stage_[u] + 1;  // paper's index, 1-based
+          p = p_staged[len * p_stride + i];
+          if (table.escalating) {
+            if (++slot_in_stage_[u] == stage_slots_[u]) {
+              slot_in_stage_[u] = 0;
+              if (estimate_[u] < SoaPolicyTable::kEstimateCap) {
+                estimate_[u] = table.escalate_double ? estimate_[u] * 2
+                                                     : estimate_[u] + 1;
+              }
+              stage_slots_[u] = table.stage_length(
+                  static_cast<std::size_t>(estimate_[u]));
             }
-            stage_slots_[u] = table.stage_length(
-                static_cast<std::size_t>(estimate_[u]));
+          } else {
+            slot_in_stage_[u] = (slot_in_stage_[u] + 1) % stage_slots_[u];
           }
         } else {
-          slot_in_stage_[u] = (slot_in_stage_[u] + 1) % stage_slots_[u];
+          p = p_constant[u];
         }
-      } else {
-        p = p_constant[u];
+        action.mode = rng.bernoulli(p) ? Mode::kTransmit : Mode::kReceive;
       }
-      mode_[u] = rng.bernoulli(p) ? Mode::kTransmit : Mode::kReceive;
-    }
-
-    // Interference suppression: a transmitter sensing an active PU on its
-    // chosen channel vacates (radio idle this slot).
-    if (has_interference) {
-      for (net::NodeId u = 0; u < n; ++u) {
-        if (mode_[u] == Mode::kTransmit && jammed(slot, u, channel_[u])) {
-          mode_[u] = Mode::kQuiet;
-        }
+      if (action.mode == Mode::kTransmit && has_interference &&
+          jammed(slot, u, action.channel)) {
+        action.mode = Mode::kQuiet;
+      }
+      count_mode(result.activity[u], action.mode);
+      if (action.mode == Mode::kTransmit) {
+        tx_.push_back({u, action.channel});
+      } else if (action.mode == Mode::kReceive) {
+        listen_[u] = action.channel;
       }
     }
 
-    // Activity accounting from each node's start slot on.
-    for (net::NodeId u = 0; u < n; ++u) {
-      if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
-        continue;
-      }
-      count_mode(result.activity[u], mode_[u]);
-    }
-
-    // Reception resolution, in listener order. The flat in-CSR scan is the
-    // reference resolution (unique in-neighbor transmitting on c whose
-    // span carries c), with the span test as one word probe.
-    for (net::NodeId u = 0; u < n; ++u) {
-      if (mode_[u] != Mode::kReceive) continue;
-      const net::ChannelId c = channel_[u];
-      if (has_interference && jammed(slot, u, c)) continue;
-
+    // Scatter: each transmitter walks its out-arcs and marks the listeners
+    // it reaches — tuned to its channel, over an arc live this epoch whose
+    // span carries the channel (the reference resolution's predicate, the
+    // span test as one word probe). A listener's first hit records the
+    // arc; a second one marks a collision.
+    for (const Transmission& t : tx_) {
+      const net::ChannelId c = t.channel;
       const std::size_t word = c >> 6;
       const std::uint64_t bit = 1ULL << (c & 63);
-      net::NodeId sender = net::kInvalidNode;
-      std::size_t sender_arc = 0;
-      bool collision = false;
-      const std::size_t arcs_end = in_off_[u + 1];
-      for (std::size_t arc = in_off_[u]; arc < arcs_end; ++arc) {
-        const net::NodeId v = in_src_[arc];
-        if (mode_[v] != Mode::kTransmit || channel_[v] != c) continue;
-        if (!live(arc)) continue;
-        if ((span_words_[arc * span_stride_ + word] & bit) == 0) continue;
-        if (sender != net::kInvalidNode) {
-          collision = true;
-          break;
+      const std::uint32_t end = out_off_[t.node + 1];
+      for (std::uint32_t k = out_off_[t.node]; k < end; ++k) {
+        const OutArc a = out_[k];
+        if (listen_[a.to] != c) continue;
+        if (!live(a.arc)) continue;
+        if ((span_words_[k * span_stride_ + word] & bit) == 0) continue;
+        std::uint64_t& hit_word = hits_[a.to >> 6];
+        const std::uint64_t hit_bit = 1ULL << (a.to & 63);
+        if ((hit_word & hit_bit) != 0) {
+          hit_arc_[a.to] = kCollided;
+        } else {
+          hit_word |= hit_bit;
+          hit_arc_[a.to] = a.arc;
         }
-        sender = v;
-        sender_arc = arc;
       }
-      if (collision || sender == net::kInvalidNode) continue;
-      // The shared disposition chain. The SoA path has no policy objects,
-      // so nothing is refused (equivalence legs run untrusted); a Byzantine
-      // message lands in the fault layer's fake table, never in the
-      // coverage arrays.
-      if (dispose_reception(faults, sender, u, sender_arc, slot,
-                            streams.loss_rng(), config.loss_probability,
-                            [](net::NodeId) { return true; })
-              .disposition != Disposition::kAdmitted) {
-        continue;
+    }
+
+    // Resolve the hit listeners in ascending id order, clearing the bitset
+    // as it goes. Listener order is the oracle's order: loss draws, fault
+    // bookkeeping and on_reception calls must come in it for the kernel to
+    // stay bit-identical to run_slot_engine.
+    for (std::size_t w = 0; w < hits_.size(); ++w) {
+      std::uint64_t bits = hits_[w];
+      hits_[w] = 0;
+      for (; bits != 0; bits &= bits - 1) {
+        const auto u = static_cast<net::NodeId>(
+            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
+        const std::uint32_t arc = hit_arc_[u];
+        if (arc == kCollided) continue;
+        const net::ChannelId c = listen_[u];
+        if (has_interference && jammed(slot, u, c)) continue;
+        const net::NodeId sender =
+            network_->in_links(u)[arc - network_->first_in_arc(u)].from;
+        // The shared disposition chain. The SoA path has no policy
+        // objects, so nothing is refused (equivalence legs run untrusted);
+        // a Byzantine message lands in the fault layer's fake table, never
+        // in the coverage arrays.
+        if (dispose_reception(faults, sender, u, arc, slot,
+                              streams.loss_rng(), config.loss_probability,
+                              [](net::NodeId) { return true; })
+                .disposition != Disposition::kAdmitted) {
+          continue;
+        }
+        ++result.receptions;
+        if (result.covered[arc] == 0) {
+          result.covered[arc] = 1;
+          result.first_slot[arc] = static_cast<double>(slot);
+          ++result.covered_links;
+        }
+        if (config.on_reception) config.on_reception(slot, sender, u, c);
       }
-      ++result.receptions;
-      if (result.covered[sender_arc] == 0) {
-        result.covered[sender_arc] = 1;
-        result.first_slot[sender_arc] = static_cast<double>(slot);
-        ++result.covered_links;
-      }
-      if (config.on_reception) config.on_reception(slot, sender, u, c);
     }
 
     if (!result.complete && result.covered_links == result.total_links) {

@@ -10,22 +10,34 @@
 //     degree estimate) stepped against a precomputed probability matrix
 //     (sim/soa_policy.hpp, built by core); no virtual calls, no per-node
 //     allocations;
-//   * word-level spans — each in-arc's span is a flat span-of-words slice;
-//     the reception scan tests channel membership with one shift/mask;
+//   * transmitter-driven reception — flattening builds an out-arc CSR
+//     (per sender: receiver and arc id, in receiver order) with each
+//     arc's span as a flat word slice beside it. Each slot is one action
+//     pass over the nodes (draw, PU suppression, activity tally), then a
+//     scatter: every transmitter walks its out-arcs, and an arc whose
+//     receiver listens on the transmitter's channel, is live this epoch
+//     and whose span carries the channel (one shift/mask) is a hit. A
+//     listener's first hit records the arc and sets its bit in a
+//     listener bitset; a second hit marks a collision. The bitset is then
+//     walked in ascending node id, so the disposition chain, coverage and
+//     on_reception run in the oracle's listener order. Work per slot is
+//     ≈ p·arcs out-arc visits plus N/64 bitset words, where a listener-side
+//     scan costs ≈ (1−p)·arcs;
 //   * arc coverage    — covered/first-slot are per-arc arrays indexed by
 //     the network's arc id (net::Network::in_arc), the same numbering the
 //     fault layer's per-link state uses; O(arcs);
-//   * per-trial arena — every array is sized at construction and reused
-//     across run() calls; steady-state slots allocate nothing.
+//   * per-trial arena — every array is sized at construction or on the
+//     first run() and reused across run() calls; steady-state slots
+//     allocate nothing.
 //
 // Bit-exactness contract: for any network, SoaPolicyTable built from a
 // core::SyncPolicySpec, and SlotEngineConfig, run() produces the same
-// completion flag/slot, per-node activity, per-link first-coverage slots
-// and robustness report as run_slot_engine with the spec's oracle factory
-// (policies draw channel-then-coin from the same per-node streams; losses
-// draw in listener order from the same loss stream). The randomized
-// equivalence suite (tests/soa_kernel_test.cpp) enforces this, exactly as
-// indexed==reference reception was pinned before.
+// completion flag/slot, per-node activity, per-link first-coverage slots,
+// on_reception call sequence and robustness report as run_slot_engine with
+// the spec's oracle factory (policies draw channel-then-coin from the same
+// per-node streams; losses draw in listener order from the same loss
+// stream). The randomized equivalence suite (tests/soa_kernel_test.cpp)
+// enforces this, exactly as indexed==reference reception was pinned before.
 #pragma once
 
 #include <cstdint>
@@ -72,7 +84,7 @@ struct SoaSlotKernelResult {
 
 class SoaSlotKernel {
  public:
-  /// Flattens the network once: available-channel CSR, in-link CSR with
+  /// Flattens the network once: available-channel CSR, out-arc CSR with
   /// word-level span copies. Reused across run() calls (trials).
   explicit SoaSlotKernel(const net::Network& network);
 
@@ -92,16 +104,35 @@ class SoaSlotKernel {
   std::size_t span_stride_ = 0;  // words per span slice
   std::uint64_t total_links_ = 0;
 
+  /// Hit record of a listener reached by two or more transmitters.
+  static constexpr std::uint32_t kCollided = 0xFFFFFFFFu;
+
+  /// One out-arc: the receiver and the arc's id (its in-link CSR position).
+  struct OutArc {
+    net::NodeId to;
+    std::uint32_t arc;
+  };
+  /// A transmitter of the current slot and its channel.
+  struct Transmission {
+    net::NodeId node;
+    net::ChannelId channel;
+  };
+
   // Immutable per-network flattening.
   std::vector<std::size_t> avail_off_;      // n+1
   std::vector<net::ChannelId> avail_flat_;  // A(u) members, ascending
-  std::vector<std::size_t> in_off_;         // n+1; u's arcs: ids [u, u+1)
-  std::vector<net::NodeId> in_src_;         // arc id → sender
-  std::vector<std::uint64_t> span_words_;   // arc id → span bitset slice
+  std::vector<std::uint32_t> out_off_;      // n+1; v's out-arcs: [v, v+1)
+  std::vector<OutArc> out_;                 // receiver order per sender
+  std::vector<std::uint64_t> span_words_;   // out position → span slice
 
-  // Per-trial state, sized once and reset at each run().
-  std::vector<Mode> mode_;
-  std::vector<net::ChannelId> channel_;
+  // Per-slot state, sized once; resolution leaves the hit bitset zero.
+  std::vector<net::ChannelId> listen_;  // listening channel or kInvalidChannel
+  std::vector<Transmission> tx_;        // this slot's transmitters, by id
+  std::vector<std::uint32_t> hit_arc_;  // first hit's arc id, or kCollided
+  std::vector<std::uint64_t> hits_;     // bitset: listeners with a hit
+
+  // Per-trial policy state, reset at each run() and sized for the table's
+  // law: staged laws use the stage counters, escalating ones the estimate.
   std::vector<std::uint32_t> slot_in_stage_;
   std::vector<std::uint32_t> stage_slots_;
   std::vector<std::uint64_t> estimate_;

@@ -10,32 +10,12 @@ std::uint64_t splitmix64(std::uint64_t& state) noexcept {
   return z ^ (z >> 31);
 }
 
-namespace {
-
-[[nodiscard]] constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
-
 Xoshiro256::Xoshiro256(std::uint64_t seed) noexcept {
   // Seed the full 256-bit state from SplitMix64 so that even seed = 0
   // produces a well-mixed state (the all-zero state is a fixed point of
   // xoshiro and must be avoided).
   std::uint64_t sm = seed;
   for (auto& word : state_) word = splitmix64(sm);
-}
-
-Xoshiro256::result_type Xoshiro256::operator()() noexcept {
-  const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
-  const std::uint64_t t = state_[1] << 17;
-  state_[2] ^= state_[0];
-  state_[3] ^= state_[1];
-  state_[1] ^= state_[2];
-  state_[0] ^= state_[3];
-  state_[2] ^= t;
-  state_[3] = rotl(state_[3], 45);
-  return result;
 }
 
 void Xoshiro256::jump() noexcept {
@@ -54,19 +34,10 @@ void Xoshiro256::jump() noexcept {
   state_ = acc;
 }
 
-std::uint64_t Rng::uniform(std::uint64_t bound) noexcept {
-  M2HEW_DCHECK(bound > 0);
-  // Lemire's nearly-divisionless unbiased bounded generation.
-  std::uint64_t x = next_u64();
-  __uint128_t m = static_cast<__uint128_t>(x) * bound;
-  auto low = static_cast<std::uint64_t>(m);
-  if (low < bound) {
-    const std::uint64_t threshold = (0 - bound) % bound;
-    while (low < threshold) {
-      x = next_u64();
-      m = static_cast<__uint128_t>(x) * bound;
-      low = static_cast<std::uint64_t>(m);
-    }
+std::uint64_t Rng::uniform_reject(__uint128_t m, std::uint64_t bound) noexcept {
+  const std::uint64_t threshold = (0 - bound) % bound;
+  while (static_cast<std::uint64_t>(m) < threshold) {
+    m = static_cast<__uint128_t>(next_u64()) * bound;
   }
   return static_cast<std::uint64_t>(m >> 64);
 }
@@ -80,20 +51,9 @@ std::int64_t Rng::uniform_range(std::int64_t lo, std::int64_t hi) noexcept {
   return static_cast<std::int64_t>(static_cast<std::uint64_t>(lo) + draw);
 }
 
-double Rng::uniform_double() noexcept {
-  // 53 high bits → uniform double in [0, 1) with full mantissa resolution.
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
 double Rng::uniform_double(double lo, double hi) noexcept {
   M2HEW_DCHECK(lo <= hi);
   return lo + (hi - lo) * uniform_double();
-}
-
-bool Rng::bernoulli(double p) noexcept {
-  if (p <= 0.0) return false;
-  if (p >= 1.0) return true;
-  return uniform_double() < p;
 }
 
 std::uint64_t SeedSequence::derive(std::uint64_t index) const noexcept {

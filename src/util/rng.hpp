@@ -33,13 +33,28 @@ class Xoshiro256 {
     return std::numeric_limits<result_type>::max();
   }
 
-  result_type operator()() noexcept;
+  result_type operator()() noexcept {
+    const std::uint64_t result = rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = rotl(state_[3], 45);
+    return result;
+  }
 
   /// Jump function: advances the state by 2^128 steps, giving a stream
   /// independent of the original for any realistic draw count.
   void jump() noexcept;
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x,
+                                                    int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::array<std::uint64_t, 4> state_;
 };
 
@@ -54,20 +69,34 @@ class Rng {
 
   /// Uniform integer in [0, bound). Requires bound > 0.
   /// Uses Lemire's multiply-shift rejection method (unbiased).
-  [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept;
+  [[nodiscard]] std::uint64_t uniform(std::uint64_t bound) noexcept {
+    M2HEW_DCHECK(bound > 0);
+    const __uint128_t m = static_cast<__uint128_t>(next_u64()) * bound;
+    if (static_cast<std::uint64_t>(m) < bound) [[unlikely]] {
+      return uniform_reject(m, bound);
+    }
+    return static_cast<std::uint64_t>(m >> 64);
+  }
 
   /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
   [[nodiscard]] std::int64_t uniform_range(std::int64_t lo,
                                            std::int64_t hi) noexcept;
 
   /// Uniform double in [0, 1).
-  [[nodiscard]] double uniform_double() noexcept;
+  [[nodiscard]] double uniform_double() noexcept {
+    // 53 high bits → uniform double in [0, 1) with full mantissa resolution.
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   [[nodiscard]] double uniform_double(double lo, double hi) noexcept;
 
   /// Bernoulli trial with success probability p (clamped to [0, 1]).
-  [[nodiscard]] bool bernoulli(double p) noexcept;
+  [[nodiscard]] bool bernoulli(double p) noexcept {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return uniform_double() < p;
+  }
 
   /// Uniformly chosen element of a non-empty span.
   template <typename T>
@@ -87,6 +116,12 @@ class Rng {
   }
 
  private:
+  /// Lemire's rejection step, out of line: entered when the low word of
+  /// the first product `m` falls below `bound`; redraws while it falls
+  /// below 2⁶⁴ mod bound.
+  [[nodiscard]] std::uint64_t uniform_reject(__uint128_t m,
+                                             std::uint64_t bound) noexcept;
+
   Xoshiro256 gen_;
 };
 

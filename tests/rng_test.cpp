@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -202,6 +203,87 @@ TEST(Rng, ShuffleIsAPermutation) {
       << "50 elements should virtually never shuffle to identity";
   std::sort(shuffled.begin(), shuffled.end());
   EXPECT_EQ(v, shuffled);
+}
+
+// --- Golden values --------------------------------------------------------
+//
+// Exact outputs for fixed seeds. Every pinned result artifact and perfbench
+// digest depends on these streams, so any change to the generator or to a
+// distribution's draw shape must show up here, not only as drifted
+// downstream numbers.
+
+TEST(RngGolden, Xoshiro256Streams) {
+  const std::array<std::array<std::uint64_t, 4>, 3> expected = {{
+      {0x99EC5F36CB75F2B4ULL, 0xBF6E1F784956452AULL, 0x1A5F849D4933E6E0ULL,
+       0x6AA594F1262D2D2CULL},
+      {0xB3F2AF6D0FC710C5ULL, 0x853B559647364CEAULL, 0x92F89756082A4514ULL,
+       0x642E1C7BC266A3A7ULL},
+      {0x74A41DECDB6184ABULL, 0xF9B2BA7286D85582ULL, 0x01968D9FB77B48F2ULL,
+       0x2B9E61C81C94046EULL},
+  }};
+  const std::array<std::uint64_t, 3> seeds = {0, 1, 7919};
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    Xoshiro256 g(seeds[s]);
+    for (const std::uint64_t want : expected[s]) {
+      EXPECT_EQ(g(), want) << "seed " << seeds[s];
+    }
+  }
+}
+
+TEST(RngGolden, UniformSmallBounds) {
+  Rng rng(1);
+  const std::array<std::uint64_t, 6> bounds = {1, 2, 3, 6, 10, 1000};
+  const std::array<std::uint64_t, 6> expected = {0, 1, 1, 2, 6, 143};
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    EXPECT_EQ(rng.uniform(bounds[i]), expected[i]) << "bound " << bounds[i];
+  }
+}
+
+// A bound just above 2^63 rejects almost half of all raw draws. Seed 1's
+// first draw is rejected: the call consumes two raw outputs.
+TEST(RngGolden, UniformRejectionBranch) {
+  constexpr std::uint64_t kBound = (1ULL << 63) + 1;
+  Rng rng(1);
+  Rng raw(1);
+  EXPECT_EQ(rng.uniform(kBound), 0x429DAACB239B2675ULL);
+  (void)raw.next_u64();
+  (void)raw.next_u64();
+  EXPECT_EQ(rng.next_u64(), raw.next_u64());
+}
+
+TEST(RngGolden, UniformRange) {
+  Rng rng(7919);
+  EXPECT_EQ(rng.uniform_range(-5, 5), 0);
+  EXPECT_EQ(rng.uniform_range(-5, 5), 5);
+  EXPECT_EQ(rng.uniform_range(100, 100), 100);
+  EXPECT_EQ(rng.uniform_range(std::numeric_limits<std::int64_t>::min(),
+                              std::numeric_limits<std::int64_t>::max()),
+            -6080314934802774930LL);
+  EXPECT_EQ(rng.uniform_range(-1000000007, 3), -707864346);
+}
+
+TEST(RngGolden, UniformDouble) {
+  Rng rng(42);
+  EXPECT_EQ(rng.uniform_double(), 0x1.5780b2e0c2ecp-4);
+  EXPECT_EQ(rng.uniform_double(), 0x1.84136619b444ep-2);
+  EXPECT_EQ(rng.uniform_double(), 0x1.5c2ea66473c93p-1);
+  EXPECT_EQ(rng.uniform_double(-2.0, 3.0), 0x1.4fcdb13189408p+1);
+}
+
+TEST(RngGolden, Bernoulli) {
+  Rng rng(5);
+  const char* const expected = "1000000000010000";
+  for (int i = 0; i < 16; ++i) {
+    EXPECT_EQ(rng.bernoulli(0.3), expected[i] == '1') << "draw " << i;
+  }
+  // p <= 0 and p >= 1 decide without drawing.
+  Rng clamped(5);
+  Rng untouched(5);
+  EXPECT_FALSE(clamped.bernoulli(0.0));
+  EXPECT_FALSE(clamped.bernoulli(-1.0));
+  EXPECT_TRUE(clamped.bernoulli(1.0));
+  EXPECT_TRUE(clamped.bernoulli(2.0));
+  EXPECT_EQ(clamped.next_u64(), untouched.next_u64());
 }
 
 TEST(SeedSequence, DerivedSeedsAreStable) {

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <tuple>
 #include <vector>
 
 #include "core/policy_spec.hpp"
@@ -182,6 +183,22 @@ void expect_same_robustness(const sim::RobustnessReport& a,
   EXPECT_DOUBLE_EQ(a.max_isolation, b.max_isolation);
 }
 
+// One on_reception(slot, sender, listener, channel) call.
+using ReceptionEvent =
+    std::tuple<std::uint64_t, net::NodeId, net::NodeId, net::ChannelId>;
+
+// `config` with an on_reception hook that appends every call to `log`.
+// Coverage alone cannot show a reordering of receptions within a slot;
+// the call sequence can.
+[[nodiscard]] sim::SlotEngineConfig recording(
+    sim::SlotEngineConfig config, std::vector<ReceptionEvent>& log) {
+  config.on_reception = [&log](std::uint64_t slot, net::NodeId sender,
+                               net::NodeId listener, net::ChannelId c) {
+    log.emplace_back(slot, sender, listener, c);
+  };
+  return config;
+}
+
 class SoaKernelEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
@@ -192,14 +209,19 @@ TEST_P(SoaKernelEquivalence, MatchesSlotEngineBitExactly) {
   const core::SyncPolicySpec spec = spec_for(seed);
   const sim::SlotEngineConfig config = random_config(seed, n, rng);
 
-  const auto engine =
-      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  std::vector<ReceptionEvent> engine_log;
+  std::vector<ReceptionEvent> soa_log;
+  const auto engine = sim::run_slot_engine(
+      network, core::make_policy_factory(spec), recording(config, engine_log));
   const auto soa = sim::run_soa_slot_kernel(
-      network, core::build_soa_policy_table(network, spec), config);
+      network, core::build_soa_policy_table(network, spec),
+      recording(config, soa_log));
 
   EXPECT_EQ(engine.complete, soa.complete);
   EXPECT_EQ(engine.completion_slot, soa.completion_slot);
   EXPECT_EQ(engine.slots_executed, soa.slots_executed);
+  EXPECT_EQ(soa_log.size(), static_cast<std::size_t>(soa.receptions));
+  EXPECT_TRUE(engine_log == soa_log) << "reception sequences differ";
 
   ASSERT_EQ(engine.activity.size(), soa.activity.size());
   for (std::size_t u = 0; u < engine.activity.size(); ++u) {
@@ -258,14 +280,19 @@ TEST_P(SoaKernelEquivalence, MatchesSlotEngineUnderEpochSchedule) {
   config.topology = &provider;
   config.epoch_length = 50 + 25 * (seed % 3);
 
-  const auto engine =
-      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
+  std::vector<ReceptionEvent> engine_log;
+  std::vector<ReceptionEvent> soa_log;
+  const auto engine = sim::run_slot_engine(
+      network, core::make_policy_factory(spec), recording(config, engine_log));
   const auto soa = sim::run_soa_slot_kernel(
-      network, core::build_soa_policy_table(network, spec), config);
+      network, core::build_soa_policy_table(network, spec),
+      recording(config, soa_log));
 
   EXPECT_EQ(engine.complete, soa.complete);
   EXPECT_EQ(engine.completion_slot, soa.completion_slot);
   EXPECT_EQ(engine.slots_executed, soa.slots_executed);
+  EXPECT_EQ(soa_log.size(), static_cast<std::size_t>(soa.receptions));
+  EXPECT_TRUE(engine_log == soa_log) << "reception sequences differ";
 
   ASSERT_EQ(engine.activity.size(), soa.activity.size());
   for (std::size_t u = 0; u < engine.activity.size(); ++u) {
@@ -317,6 +344,95 @@ TEST(SoaKernel, ReusedInstanceIsDeterministic) {
   EXPECT_EQ(first.receptions, second.receptions);
   EXPECT_EQ(first.covered, second.covered);
   EXPECT_EQ(first.first_slot, second.first_slot);
+}
+
+// A constant-law table that pins every node's action without a draw: node
+// u transmits (p = 1) or listens (p = 0) on channel `channel[u]`, through
+// a one-entry consistent-hop map.
+[[nodiscard]] sim::SoaPolicyTable pinned_table(
+    std::vector<double> p, std::vector<net::ChannelId> channel) {
+  sim::SoaPolicyTable table;
+  table.staged = false;
+  table.p_constant = std::move(p);
+  table.channel_law = sim::SoaChannelLaw::kConsistentHop;
+  table.hop_period = 1;
+  table.hop_map = std::move(channel);
+  return table;
+}
+
+// Reception resolution's edge cases on hand-built networks with pinned
+// actions, so every expected reception is known in advance.
+TEST(SoaKernel, ResolutionEdgeCases) {
+  const net::ChannelSet both(2, {0, 1});
+  {
+    // 0 and 1 transmit on channel 0; 2, 3 and 4 listen on it.
+    //  * 0->2 and 1->2 reach 2, but 1->2 does not propagate channel 0:
+    //    2 hears 0 cleanly, no collision.
+    //  * 0->3 has no reverse arc, and 3->1 has none either: 3 hears 0,
+    //    and 1 must not reach 3 through the arc that points away from it.
+    //  * 0->4 is 4's only in-arc, but 4 is jammed: it hears nothing.
+    net::Topology topology(5);
+    topology.add_arc(0, 2);
+    topology.add_arc(1, 2);
+    topology.add_arc(0, 3);
+    topology.add_arc(3, 1);
+    topology.add_arc(0, 4);
+    const net::Network network(
+        std::move(topology), std::vector<net::ChannelSet>(5, both),
+        [&both](net::NodeId from, net::NodeId to) {
+          return from == 1 && to == 2 ? net::ChannelSet(2, {1}) : both;
+        });
+    sim::SlotEngineConfig config;
+    config.max_slots = 3;
+    config.stop_when_complete = false;
+    config.interference = [](std::uint64_t, net::NodeId node,
+                             net::ChannelId) { return node == 4; };
+    std::vector<ReceptionEvent> log;
+    const auto result = sim::run_soa_slot_kernel(
+        network, pinned_table({1, 1, 0, 0, 0}, {0, 0, 0, 0, 0}),
+        recording(config, log));
+
+    std::vector<ReceptionEvent> expected;
+    for (std::uint64_t slot = 0; slot < 3; ++slot) {
+      expected.emplace_back(slot, 0, 2, 0);
+      expected.emplace_back(slot, 0, 3, 0);
+    }
+    EXPECT_EQ(log, expected);
+    EXPECT_EQ(result.receptions, 6u);
+    EXPECT_TRUE(result.is_covered({0, 2}));
+    EXPECT_TRUE(result.is_covered({0, 3}));
+    EXPECT_FALSE(result.is_covered({0, 4}));
+    EXPECT_FALSE(result.is_covered({1, 2}));
+    EXPECT_EQ(result.activity[4].receive, 3u);
+    EXPECT_EQ(result.activity[0].transmit, 3u);
+  }
+  {
+    // Two epochs of two slots. 0 and 2 transmit on channel 0 and 1
+    // listens. Epoch 0 has only the edge 0-1 and epoch 1 only 2-1, so
+    // each epoch's dead arc must neither deliver nor collide.
+    net::Topology first(3);
+    first.add_edge(0, 1);
+    net::Topology second(3);
+    second.add_edge(2, 1);
+    const net::EpochTopologyProvider provider(
+        {std::move(first), std::move(second)},
+        std::vector<net::ChannelSet>(3, both));
+    sim::SlotEngineConfig config;
+    config.max_slots = 4;
+    config.stop_when_complete = false;
+    config.topology = &provider;
+    config.epoch_length = 2;
+    std::vector<ReceptionEvent> log;
+    const auto result = sim::run_soa_slot_kernel(
+        provider.union_network(), pinned_table({1, 0, 1}, {0, 0, 0}),
+        recording(config, log));
+
+    const std::vector<ReceptionEvent> expected = {
+        {0, 0, 1, 0}, {1, 0, 1, 0}, {2, 2, 1, 0}, {3, 2, 1, 0}};
+    EXPECT_EQ(log, expected);
+    EXPECT_DOUBLE_EQ(result.first_coverage_slot({0, 1}), 0.0);
+    EXPECT_DOUBLE_EQ(result.first_coverage_slot({2, 1}), 2.0);
+  }
 }
 
 void expect_same_stats(const runner::SyncTrialStats& a,
