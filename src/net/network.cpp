@@ -89,6 +89,27 @@ void Network::build(const PropagationFilter* propagation) {
   for (const std::uint32_t d : degree_on_channel_) {
     delta_ = std::max<std::size_t>(delta_, d);
   }
+
+  // Out-arc CSR by counting sort over the in-link CSR: walking receivers
+  // in ascending order leaves each sender's out-arcs in receiver order.
+  M2HEW_CHECK_MSG(arcs.size() < UINT32_MAX, "arc ids are 32-bit");
+  out_offsets_.assign(static_cast<std::size_t>(n) + 1, 0);
+  for (const InLink& in : in_links_flat_) ++out_offsets_[in.from + 1];
+  for (NodeId v = 0; v < n; ++v) out_offsets_[v + 1] += out_offsets_[v];
+  span_stride_ = ChannelSet::word_count(universe_);
+  out_arcs_.resize(arcs.size());
+  out_span_words_.assign(arcs.size() * span_stride_, 0);
+  std::vector<std::size_t> cursor(out_offsets_.begin(), out_offsets_.end() - 1);
+  for (NodeId u = 0; u < n; ++u) {
+    for (std::size_t a = in_link_offsets_[u]; a < in_link_offsets_[u + 1];
+         ++a) {
+      const std::size_t at = cursor[in_links_flat_[a].from]++;
+      out_arcs_[at] = {u, static_cast<std::uint32_t>(a)};
+      std::ranges::copy(spans_[a].words(),
+                        out_span_words_.begin() +
+                            static_cast<std::ptrdiff_t>(at * span_stride_));
+    }
+  }
 }
 
 const ChannelSet& Network::available(NodeId u) const {

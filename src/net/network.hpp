@@ -95,6 +95,33 @@ class Network {
     return spans_[arc];
   }
 
+  /// Sender of arc id `arc` (< arc_count()).
+  [[nodiscard]] NodeId arc_source(std::size_t arc) const {
+    return in_links_flat_[arc].from;
+  }
+
+  /// An outgoing arc: its receiver and its arc id.
+  struct OutArc {
+    NodeId to = kInvalidNode;
+    std::uint32_t arc = 0;
+  };
+  /// Out-arc CSR, the transmitter-side view of the same arcs: the
+  /// out-arcs of v, in receiver order, are positions [first_out_arc(v),
+  /// first_out_arc(v) + out_arcs(v).size()) of one flat array.
+  [[nodiscard]] std::span<const OutArc> out_arcs(NodeId v) const {
+    return {out_arcs_.data() + out_offsets_[v],
+            out_offsets_[v + 1] - out_offsets_[v]};
+  }
+  [[nodiscard]] std::size_t first_out_arc(NodeId v) const {
+    return out_offsets_[v];
+  }
+  /// Whether the out-arc at CSR position `pos` carries channel c: one word
+  /// probe into a copy of the spans stored in out-arc order.
+  [[nodiscard]] bool out_arc_carries(std::size_t pos, ChannelId c) const {
+    return ((out_span_words_[pos * span_stride_ + (c >> 6)] >> (c & 63)) &
+            1U) != 0;
+  }
+
   /// Arc id of each discovery link, parallel to links().
   [[nodiscard]] std::span<const std::size_t> link_arcs() const noexcept {
     return link_arcs_;
@@ -140,6 +167,12 @@ class Network {
   // with span pointers into spans_; used by the engines' reception loops.
   std::vector<InLink> in_links_flat_;
   std::vector<std::size_t> in_link_offsets_;
+  // Out-arc CSR: v's out-arcs are [out_offsets_[v], out_offsets_[v+1]),
+  // with span_stride_ span words per position in out_span_words_.
+  std::vector<std::size_t> out_offsets_;
+  std::vector<OutArc> out_arcs_;
+  std::size_t span_stride_ = 0;
+  std::vector<std::uint64_t> out_span_words_;
   // Dense (to, from) -> arc id matrix (-1 = no arc), built only for node
   // counts up to kDenseArcLimit; makes in_arc() O(1).
   std::vector<std::int32_t> arc_matrix_;

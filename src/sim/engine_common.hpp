@@ -49,9 +49,9 @@ struct EngineCommon {
   /// = no external interference. Must be deterministic.
   std::function<bool(Time, net::NodeId, net::ChannelId)> interference;
 
-  /// Reception-resolution strategy. true (default): resolve through the
-  /// per-channel transmitter index (SlotMedium for the slotted engines,
-  /// the live transmit-frame interval index for the async engine).
+  /// Reception-resolution strategy. true (default): the slotted engines
+  /// scatter each transmission over its out-arcs (SlotMedium), the async
+  /// engine resolves through its live transmit-frame interval index.
   /// false: the original per-listener scan over all in-neighbors, kept as
   /// the naive reference implementation for the equivalence property
   /// tests. Both paths are bit-identical by contract — same policy

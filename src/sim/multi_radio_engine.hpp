@@ -9,9 +9,11 @@
 // that constraint; ideal channel filters are assumed). A listening radio
 // hears a clear message iff exactly one in-neighbor of its node transmits
 // on its channel over an arc carrying that channel — the §II semantics,
-// resolved per radio through the same SlotMedium as the single-radio slot
-// engine, with the same loss, primary-user interference, start-schedule
-// and indexed/reference machinery (see sim/engine_common.hpp). With
+// resolved per radio through the same SlotMedium scatter as the
+// single-radio slot engine, its hits keyed by listening radio in (node id,
+// radio index) order, with the same loss, primary-user interference,
+// start-schedule and indexed/reference machinery (see
+// sim/engine_common.hpp). With
 // radio_count == 1 for every node this engine is bit-identical to
 // run_slot_engine (the engine-parity property test enforces it).
 #pragma once

@@ -5,8 +5,10 @@
 #include "sim/slot_engine.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <type_traits>
+#include <vector>
 
 #include "sim/multi_radio_engine.hpp"
 #include "sim/slot_medium.hpp"
@@ -19,28 +21,28 @@ namespace {
 
 // The two slotted policy interfaces differ only in how many actions a poll
 // returns and in the radio argument of their feedback.
-void poll(SyncPolicy& policy, util::Rng& rng, SlotAction& out) {
-  out = policy.next_slot(rng);
+void poll(SyncPolicy& policy, util::Rng& rng, std::span<SlotAction> out) {
+  out[0] = policy.next_slot(rng);
 }
 void poll(MultiRadioPolicy& policy, util::Rng& rng,
-          std::vector<SlotAction>& out) {
-  out = policy.next_slot(rng);
-  M2HEW_CHECK_MSG(out.size() == policy.radio_count(),
+          std::span<SlotAction> out) {
+  const std::vector<SlotAction> drawn = policy.next_slot(rng);
+  M2HEW_CHECK_MSG(drawn.size() == out.size(),
                   "policy returned wrong radio count");
-  for (std::size_t r = 0; r < out.size(); ++r) {
+  for (std::size_t r = 0; r < drawn.size(); ++r) {
     for (std::size_t q = 0; q < r; ++q) {
-      M2HEW_CHECK_MSG(out[r].mode == Mode::kQuiet ||
-                          out[q].mode == Mode::kQuiet ||
-                          out[q].channel != out[r].channel,
+      M2HEW_CHECK_MSG(drawn[r].mode == Mode::kQuiet ||
+                          drawn[q].mode == Mode::kQuiet ||
+                          drawn[q].channel != drawn[r].channel,
                       "two radios of one node on the same channel");
     }
   }
+  std::ranges::copy(drawn, out.begin());
 }
 
 // Radio 0 takes `action`, every other radio stays quiet.
-void set_first(SlotAction& out, SlotAction action) { out = action; }
-void set_first(std::vector<SlotAction>& out, SlotAction action) {
-  std::fill(out.begin(), out.end(), SlotAction{});
+void set_first(std::span<SlotAction> out, SlotAction action) {
+  std::ranges::fill(out, SlotAction{});
   out[0] = action;
 }
 
@@ -73,24 +75,40 @@ SlotEngineResult run_slotted(
   TrialSetup<Policy> setup(network, factory, config.seed);
   FaultState<std::uint64_t> faults(network, setup.seeds(), config.faults);
 
-  // Node u's actions, one per radio in radio order: flat storage in the
-  // one-radio case, a vector per node otherwise.
-  std::conditional_t<kOneRadio, std::vector<SlotAction>,
-                     std::vector<std::vector<SlotAction>>>
-      actions(n);
-  const auto radios = [&actions](net::NodeId u) -> std::span<SlotAction> {
-    if constexpr (kOneRadio) {
-      return {&actions[u], 1};
-    } else {
-      return actions[u];
-    }
-  };
+  // Every radio's action in one flat array, in (node id, radio index)
+  // order; a radio's index there is its key in the medium. With one radio
+  // per node, node u's radio is entry u.
+  std::vector<std::uint32_t> first_radio;  // multi-radio: n+1 offsets
   if constexpr (!kOneRadio) {
+    first_radio.push_back(0);
     for (net::NodeId u = 0; u < n; ++u) {
       M2HEW_CHECK(setup.policy(u).radio_count() >= 1);
-      actions[u].resize(setup.policy(u).radio_count());
+      first_radio.push_back(first_radio.back() +
+                            setup.policy(u).radio_count());
     }
   }
+  const auto first = [&first_radio](net::NodeId u) -> std::uint32_t {
+    if constexpr (kOneRadio) {
+      return u;
+    } else {
+      return first_radio[u];
+    }
+  };
+  std::vector<SlotAction> actions(first(n));
+  const auto radios = [&](net::NodeId u) {
+    return std::span<SlotAction>(actions).subspan(first(u),
+                                                  first(u + 1) - first(u));
+  };
+  // The key of `to`'s radio listening on `c`, if any (a node's radios use
+  // distinct channels, so there is at most one).
+  const auto listening_key = [&](net::NodeId to, net::ChannelId c) {
+    for (std::uint32_t k = first(to); k < first(to + 1); ++k) {
+      if (actions[k].mode == Mode::kReceive && actions[k].channel == c) {
+        return k;
+      }
+    }
+    return SlotMedium::kNoKey;
+  };
 
   const Interference<std::uint64_t> jammed{config, faults};
   const bool has_interference = jammed.any();
@@ -98,7 +116,7 @@ SlotEngineResult run_slotted(
   SlotEngineResult result{.activity = std::vector<RadioActivity>(n),
                           .state = DiscoveryState(network),
                           .robustness = {}};
-  SlotMedium medium(network.universe_size(), config.indexed_reception);
+  SlotMedium medium(network, actions.size());
 
   // Time-varying topology: policies, discovery state and completion stay
   // on the union `network`; reception resolution skips the union arcs
@@ -115,14 +133,14 @@ SlotEngineResult run_slotted(
       if (slot < start_of(config.starts, u) || faults.down_at(u, slot)) {
         // Not started or crashed: all radios quiet, and the policy is not
         // polled (its slot indices are node-local).
-        set_first(actions[u], SlotAction{});
+        set_first(radios(u), SlotAction{});
       } else if (faults.scripted(u)) {
         // Adversary roles replace the node's policy on radio 0. Their
         // policy objects are never polled, so recovery resets are moot.
-        set_first(actions[u], faults.adversary_action(u, setup.rng(u)));
+        set_first(radios(u), faults.adversary_action(u, setup.rng(u)));
       } else {
         if (faults.consume_reset(u, slot)) setup.reset_policy(u);
-        poll(setup.policy(u), setup.rng(u), actions[u]);
+        poll(setup.policy(u), setup.rng(u), radios(u));
         M2HEW_DCHECK(std::ranges::all_of(radios(u), [&](const SlotAction& a) {
           return a.mode == Mode::kQuiet ||
                  network.available(u).contains(a.channel);
@@ -157,16 +175,14 @@ SlotEngineResult run_slotted(
       }
     }
 
-    // One O(#transmitters) sweep groups this slot's (non-suppressed)
-    // transmitting radios by channel; the sweep runs in node id order so
-    // each bucket stays id-sorted (distinct channels per node guarantee a
-    // node appears at most once per bucket).
+    // Every (non-suppressed) transmitting radio scatters over its
+    // out-arcs, marking the listening radios it reaches.
     if (config.indexed_reception) {
-      medium.begin_slot();
+      medium.clear();
       for (net::NodeId u = 0; u < n; ++u) {
         for (const SlotAction& action : radios(u)) {
           if (action.mode != Mode::kTransmit) continue;
-          medium.add_transmitter(action.channel, u);
+          medium.scatter(live, u, action.channel, listening_key);
         }
       }
     }
@@ -190,7 +206,7 @@ SlotEngineResult run_slotted(
 
         const SlotMedium::Resolution heard =
             config.indexed_reception
-                ? medium.resolve(network, live, u, c)
+                ? medium.heard(first(u) + r)
                 : SlotMedium::resolve_reference(
                       network, live, u, c, [&](net::NodeId v) {
                         for (const SlotAction& theirs : radios(v)) {

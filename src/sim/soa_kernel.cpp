@@ -1,7 +1,5 @@
 #include "sim/soa_kernel.hpp"
 
-#include <algorithm>
-#include <bit>
 #include <cstddef>
 
 #include "sim/engine_common.hpp"
@@ -23,61 +21,24 @@ double SoaSlotKernelResult::first_coverage_slot(net::Link link) const {
 }
 
 SoaSlotKernel::SoaSlotKernel(const net::Network& network)
-    : network_(&network),
-      n_(network.node_count()),
-      span_stride_(net::ChannelSet::word_count(network.universe_size())),
-      total_links_(network.links().size()) {
-  M2HEW_CHECK_MSG(network.arc_count() < kCollided,
-                  "SoA kernel arc ids are 32-bit");
-  avail_off_.reserve(static_cast<std::size_t>(n_) + 1);
+    : network_(&network), medium_(network, network.node_count()) {
+  const net::NodeId n = network.node_count();
+  avail_off_.reserve(static_cast<std::size_t>(n) + 1);
   avail_off_.push_back(0);
-  for (net::NodeId u = 0; u < n_; ++u) {
+  for (net::NodeId u = 0; u < n; ++u) {
     const auto members = network.available(u).to_vector();
     avail_flat_.insert(avail_flat_.end(), members.begin(), members.end());
     avail_off_.push_back(avail_flat_.size());
   }
-
-  // Out-arc CSR by counting sort over the in-link CSR: walking receivers
-  // in ascending order leaves each sender's out-arcs in receiver order.
-  out_off_.assign(static_cast<std::size_t>(n_) + 1, 0);
-  for (net::NodeId u = 0; u < n_; ++u) {
-    for (const net::Network::InLink& in : network.in_links(u)) {
-      ++out_off_[in.from + 1];
-    }
-  }
-  for (net::NodeId v = 0; v < n_; ++v) out_off_[v + 1] += out_off_[v];
-  out_.resize(network.arc_count());
-  span_words_.assign(network.arc_count() * span_stride_, 0);
-  std::vector<std::uint32_t> cursor(out_off_.begin(), out_off_.end() - 1);
-  for (net::NodeId u = 0; u < n_; ++u) {
-    const std::size_t first = network.first_in_arc(u);
-    const auto in = network.in_links(u);
-    for (std::size_t k = 0; k < in.size(); ++k) {
-      const std::uint32_t at = cursor[in[k].from]++;
-      out_[at] = {u, static_cast<std::uint32_t>(first + k)};
-      // Narrow universes can yield spans with fewer words than the stride.
-      const auto words = in[k].span->words();
-      std::copy_n(words.begin(), std::min(words.size(), span_stride_),
-                  span_words_.begin() +
-                      static_cast<std::ptrdiff_t>(at * span_stride_));
-    }
-  }
-
-  listen_.resize(n_);
-  tx_.reserve(n_);
-  hit_arc_.resize(n_);
-  hits_.resize((static_cast<std::size_t>(n_) + 63) / 64);
+  listen_.resize(n);
+  tx_.reserve(n);
 }
 
 SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
                                        const SlotEngineConfig& config) {
-  const net::NodeId n = n_;
+  const net::NodeId n = network_->node_count();
   validate_engine_common(config, n);
   M2HEW_CHECK_MSG(table.valid(n), "malformed SoA policy table");
-  for (net::NodeId u = 0; u < n; ++u) {
-    M2HEW_CHECK_MSG(avail_off_[u + 1] > avail_off_[u],
-                    "node needs a non-empty channel set");
-  }
 
   TrialStreams streams(n, config.seed);
   FaultState<std::uint64_t> faults(*network_, streams.seeds(), config.faults);
@@ -88,12 +49,9 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
   SoaSlotKernelResult result;
   result.network = network_;
   result.activity.assign(n, RadioActivity{});
-  result.total_links = total_links_;
+  result.total_links = network_->links().size();
   result.covered.assign(network_->arc_count(), 0);
   result.first_slot.assign(network_->arc_count(), -1.0);
-
-  // A run that an on_reception exception cut short may have left hits.
-  std::fill(hits_.begin(), hits_.end(), std::uint64_t{0});
 
   // Per-trial policy state: every node starts one fresh policy. Arrays
   // the table's law never reads stay empty.
@@ -198,67 +156,40 @@ SoaSlotKernelResult SoaSlotKernel::run(const SoaPolicyTable& table,
       }
     }
 
-    // Scatter: each transmitter walks its out-arcs and marks the listeners
-    // it reaches — tuned to its channel, over an arc live this epoch whose
-    // span carries the channel (the reference resolution's predicate, the
-    // span test as one word probe). A listener's first hit records the
-    // arc; a second one marks a collision.
+    // Scatter the transmitters, then resolve the hit listeners in
+    // ascending id order: the oracle's listener order, in which loss
+    // draws, fault bookkeeping and on_reception calls must come for the
+    // kernel to stay bit-identical to run_slot_engine.
+    medium_.clear();
     for (const Transmission& t : tx_) {
-      const net::ChannelId c = t.channel;
-      const std::size_t word = c >> 6;
-      const std::uint64_t bit = 1ULL << (c & 63);
-      const std::uint32_t end = out_off_[t.node + 1];
-      for (std::uint32_t k = out_off_[t.node]; k < end; ++k) {
-        const OutArc a = out_[k];
-        if (listen_[a.to] != c) continue;
-        if (!live(a.arc)) continue;
-        if ((span_words_[k * span_stride_ + word] & bit) == 0) continue;
-        std::uint64_t& hit_word = hits_[a.to >> 6];
-        const std::uint64_t hit_bit = 1ULL << (a.to & 63);
-        if ((hit_word & hit_bit) != 0) {
-          hit_arc_[a.to] = kCollided;
-        } else {
-          hit_word |= hit_bit;
-          hit_arc_[a.to] = a.arc;
-        }
-      }
+      medium_.scatter(live, t.node, t.channel,
+                      [this](net::NodeId to, net::ChannelId c) {
+                        return listen_[to] == c ? to : SlotMedium::kNoKey;
+                      });
     }
-
-    // Resolve the hit listeners in ascending id order, clearing the bitset
-    // as it goes. Listener order is the oracle's order: loss draws, fault
-    // bookkeeping and on_reception calls must come in it for the kernel to
-    // stay bit-identical to run_slot_engine.
-    for (std::size_t w = 0; w < hits_.size(); ++w) {
-      std::uint64_t bits = hits_[w];
-      hits_[w] = 0;
-      for (; bits != 0; bits &= bits - 1) {
-        const auto u = static_cast<net::NodeId>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(bits)));
-        const std::uint32_t arc = hit_arc_[u];
-        if (arc == kCollided) continue;
-        const net::ChannelId c = listen_[u];
-        if (has_interference && jammed(slot, u, c)) continue;
-        const net::NodeId sender =
-            network_->in_links(u)[arc - network_->first_in_arc(u)].from;
-        // The shared disposition chain. The SoA path has no policy
-        // objects, so nothing is refused (equivalence legs run untrusted);
-        // a Byzantine message lands in the fault layer's fake table, never
-        // in the coverage arrays.
-        if (dispose_reception(faults, sender, u, arc, slot,
-                              streams.loss_rng(), config.loss_probability,
-                              [](net::NodeId) { return true; })
-                .disposition != Disposition::kAdmitted) {
-          continue;
-        }
-        ++result.receptions;
-        if (result.covered[arc] == 0) {
-          result.covered[arc] = 1;
-          result.first_slot[arc] = static_cast<double>(slot);
-          ++result.covered_links;
-        }
-        if (config.on_reception) config.on_reception(slot, sender, u, c);
+    medium_.for_each_hit([&](net::NodeId u,
+                             const SlotMedium::Resolution& heard) {
+      if (heard.collision) return;
+      const net::ChannelId c = listen_[u];
+      if (has_interference && jammed(slot, u, c)) return;
+      // The shared disposition chain. The SoA path has no policy
+      // objects, so nothing is refused (equivalence legs run untrusted);
+      // a Byzantine message lands in the fault layer's fake table, never
+      // in the coverage arrays.
+      if (dispose_reception(faults, heard.sender, u, heard.arc, slot,
+                            streams.loss_rng(), config.loss_probability,
+                            [](net::NodeId) { return true; })
+              .disposition != Disposition::kAdmitted) {
+        return;
       }
-    }
+      ++result.receptions;
+      if (result.covered[heard.arc] == 0) {
+        result.covered[heard.arc] = 1;
+        result.first_slot[heard.arc] = static_cast<double>(slot);
+        ++result.covered_links;
+      }
+      if (config.on_reception) config.on_reception(slot, heard.sender, u, c);
+    });
 
     if (!result.complete && result.covered_links == result.total_links) {
       result.complete = true;

@@ -10,19 +10,15 @@
 //     degree estimate) stepped against a precomputed probability matrix
 //     (sim/soa_policy.hpp, built by core); no virtual calls, no per-node
 //     allocations;
-//   * transmitter-driven reception — flattening builds an out-arc CSR
-//     (per sender: receiver and arc id, in receiver order) with each
-//     arc's span as a flat word slice beside it. Each slot is one action
-//     pass over the nodes (draw, PU suppression, activity tally), then a
-//     scatter: every transmitter walks its out-arcs, and an arc whose
-//     receiver listens on the transmitter's channel, is live this epoch
-//     and whose span carries the channel (one shift/mask) is a hit. A
-//     listener's first hit records the arc and sets its bit in a
-//     listener bitset; a second hit marks a collision. The bitset is then
-//     walked in ascending node id, so the disposition chain, coverage and
-//     on_reception run in the oracle's listener order. Work per slot is
-//     ≈ p·arcs out-arc visits plus N/64 bitset words, where a listener-side
-//     scan costs ≈ (1−p)·arcs;
+//   * transmitter-driven reception — each slot is one action pass over
+//     the nodes (draw, PU suppression, activity tally), then the shared
+//     medium's scatter (sim/slot_medium.hpp): every transmitter walks its
+//     out-arcs in the network's out-arc CSR and marks the listeners it
+//     reaches. The hit listeners are then resolved in ascending node id,
+//     so the disposition chain, coverage and on_reception run in the
+//     oracle's listener order. Work per slot is ≈ p·arcs out-arc visits
+//     plus N/64 bitset words, where a listener-side scan costs
+//     ≈ (1−p)·arcs;
 //   * arc coverage    — covered/first-slot are per-arc arrays indexed by
 //     the network's arc id (net::Network::in_arc), the same numbering the
 //     fault layer's per-link state uses; O(arcs);
@@ -48,6 +44,7 @@
 #include "sim/fault_plan.hpp"
 #include "sim/radio.hpp"
 #include "sim/slot_engine.hpp"
+#include "sim/slot_medium.hpp"
 #include "sim/soa_policy.hpp"
 
 namespace m2hew::sim {
@@ -84,8 +81,8 @@ struct SoaSlotKernelResult {
 
 class SoaSlotKernel {
  public:
-  /// Flattens the network once: available-channel CSR, out-arc CSR with
-  /// word-level span copies. Reused across run() calls (trials).
+  /// Flattens the network once into its available-channel CSR. Reused
+  /// across run() calls (trials).
   explicit SoaSlotKernel(const net::Network& network);
 
   /// Runs one trial. `config.indexed_reception` is ignored (the kernel has
@@ -100,18 +97,7 @@ class SoaSlotKernel {
 
  private:
   const net::Network* network_;
-  net::NodeId n_ = 0;
-  std::size_t span_stride_ = 0;  // words per span slice
-  std::uint64_t total_links_ = 0;
 
-  /// Hit record of a listener reached by two or more transmitters.
-  static constexpr std::uint32_t kCollided = 0xFFFFFFFFu;
-
-  /// One out-arc: the receiver and the arc's id (its in-link CSR position).
-  struct OutArc {
-    net::NodeId to;
-    std::uint32_t arc;
-  };
   /// A transmitter of the current slot and its channel.
   struct Transmission {
     net::NodeId node;
@@ -121,15 +107,11 @@ class SoaSlotKernel {
   // Immutable per-network flattening.
   std::vector<std::size_t> avail_off_;      // n+1
   std::vector<net::ChannelId> avail_flat_;  // A(u) members, ascending
-  std::vector<std::uint32_t> out_off_;      // n+1; v's out-arcs: [v, v+1)
-  std::vector<OutArc> out_;                 // receiver order per sender
-  std::vector<std::uint64_t> span_words_;   // out position → span slice
 
-  // Per-slot state, sized once; resolution leaves the hit bitset zero.
+  // Per-slot state, sized once.
   std::vector<net::ChannelId> listen_;  // listening channel or kInvalidChannel
   std::vector<Transmission> tx_;        // this slot's transmitters, by id
-  std::vector<std::uint32_t> hit_arc_;  // first hit's arc id, or kCollided
-  std::vector<std::uint64_t> hits_;     // bitset: listeners with a hit
+  SlotMedium medium_;                   // keyed by node id
 
   // Per-trial policy state, reset at each run() and sized for the table's
   // law: staged laws use the stage counters, escalating ones the estimate.

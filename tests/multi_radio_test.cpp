@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "core/algorithms.hpp"
 #include "net/topology_gen.hpp"
@@ -390,6 +393,70 @@ TEST(MultiRadioEngine, IndexedMatchesReferenceWithManyRadios) {
         EXPECT_DOUBLE_EQ(a.state.first_coverage_time(link),
                          b.state.first_coverage_time(link));
       }
+    }
+  }
+}
+
+TEST(MultiRadioEngine, ScatterEdgeCasesWithTwoRadios) {
+  // Hits are keyed per listening radio. Node 2 listens on both channels:
+  // radio 0 hears node 0 cleanly on channel 0 while radio 1 sees a
+  // collision of nodes 1 and 3 on channel 1. Node 4 transmits on both
+  // radios and reaches node 5 (listening on its radio 1, channel 0) and
+  // node 6 (radio 0, channel 1) in the same slot. Both reception paths
+  // must report the same feedback and on_reception sequences.
+  net::Topology t(7);
+  t.add_edge(0, 2);
+  t.add_edge(1, 2);
+  t.add_edge(3, 2);
+  t.add_edge(4, 5);
+  t.add_edge(4, 6);
+  const net::Network network(
+      std::move(t),
+      std::vector<net::ChannelSet>(7, net::ChannelSet(2, {0, 1})));
+  const std::vector<std::vector<sim::SlotAction>> actions = {
+      {kTx0, kQuiet}, {kTx1, kQuiet}, {kRx0, kRx1}, {kQuiet, kTx1},
+      {kTx0, kTx1},   {kQuiet, kRx0}, {kRx1, kQuiet}};
+  using Event = std::tuple<std::uint64_t, net::NodeId, net::NodeId,
+                           net::ChannelId>;
+  std::vector<Event> expected;
+  for (std::uint64_t slot = 0; slot < 2; ++slot) {
+    expected.emplace_back(slot, 0, 2, 0);
+    expected.emplace_back(slot, 4, 5, 0);
+    expected.emplace_back(slot, 4, 6, 1);
+  }
+  const std::vector<std::pair<unsigned, sim::ListenOutcome>> outcomes = {
+      {0, sim::ListenOutcome::kClear}, {1, sim::ListenOutcome::kCollision},
+      {1, sim::ListenOutcome::kClear}, {0, sim::ListenOutcome::kClear}};
+
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "scatter" : "reference");
+    auto feedback = std::make_shared<ProbeMultiPolicy::Feedback>();
+    const auto factory = [&](const net::Network&, net::NodeId u)
+        -> std::unique_ptr<sim::MultiRadioPolicy> {
+      return std::make_unique<ProbeMultiPolicy>(actions[u], feedback);
+    };
+    std::vector<Event> log;
+    sim::MultiRadioEngineConfig config;
+    config.max_slots = 2;
+    config.stop_when_complete = false;
+    config.indexed_reception = indexed;
+    config.on_reception = [&log](std::uint64_t slot, net::NodeId from,
+                                 net::NodeId to, net::ChannelId c) {
+      log.emplace_back(slot, from, to, c);
+    };
+    const auto result = sim::run_multi_radio_engine(network, factory, config);
+    EXPECT_EQ(log, expected);
+    ASSERT_EQ(feedback->outcomes.size(), 2 * outcomes.size());
+    for (std::size_t i = 0; i < feedback->outcomes.size(); ++i) {
+      EXPECT_EQ(feedback->outcomes[i], outcomes[i % outcomes.size()]) << i;
+    }
+    EXPECT_EQ(result.state.reception_count(), 6u);
+    EXPECT_TRUE(result.state.is_covered({0, 2}));
+    EXPECT_FALSE(result.state.is_covered({1, 2}));
+    EXPECT_FALSE(result.state.is_covered({3, 2}));
+    for (const net::Link link : {net::Link{4, 5}, net::Link{4, 6}}) {
+      ASSERT_TRUE(result.state.is_covered(link));
+      EXPECT_DOUBLE_EQ(result.state.first_coverage_time(link), 0.0);
     }
   }
 }

@@ -13,6 +13,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -360,8 +361,64 @@ TEST(SoaKernel, ReusedInstanceIsDeterministic) {
   return table;
 }
 
+// The engines' counterpart of pinned_table: the node always transmits
+// (p = 1) or listens (p = 0) on one channel.
+class PinnedPolicy final : public sim::SyncPolicy {
+ public:
+  explicit PinnedPolicy(sim::SlotAction action) : action_(action) {}
+  sim::SlotAction next_slot(util::Rng&) override { return action_; }
+
+ private:
+  sim::SlotAction action_;
+};
+
+// Runs pinned actions on the slot engine's default (scatter) and reference
+// paths and on the SoA kernel. All three must make exactly the `expected`
+// on_reception calls and agree on activity and coverage; returns the SoA
+// result for scenario-specific checks.
+[[nodiscard]] sim::SoaSlotKernelResult expect_pinned_receptions(
+    const net::Network& network, const std::vector<double>& p,
+    const std::vector<net::ChannelId>& channel,
+    const sim::SlotEngineConfig& config,
+    const std::vector<ReceptionEvent>& expected) {
+  const sim::SyncPolicyFactory factory =
+      [&p, &channel](const net::Network&, net::NodeId u) {
+        return std::make_unique<PinnedPolicy>(sim::SlotAction{
+            p[u] == 1.0 ? sim::Mode::kTransmit : sim::Mode::kReceive,
+            channel[u]});
+      };
+  std::vector<ReceptionEvent> soa_log;
+  const auto soa = sim::run_soa_slot_kernel(
+      network, pinned_table(p, channel), recording(config, soa_log));
+  EXPECT_EQ(soa_log, expected) << "soa kernel";
+  for (const bool indexed : {true, false}) {
+    sim::SlotEngineConfig path = config;
+    path.indexed_reception = indexed;
+    std::vector<ReceptionEvent> log;
+    const auto engine =
+        sim::run_slot_engine(network, factory, recording(path, log));
+    EXPECT_EQ(log, expected) << "indexed_reception=" << indexed;
+    EXPECT_EQ(engine.state.reception_count(),
+              static_cast<std::size_t>(soa.receptions));
+    for (net::NodeId u = 0; u < network.node_count(); ++u) {
+      EXPECT_EQ(engine.activity[u].transmit, soa.activity[u].transmit) << u;
+      EXPECT_EQ(engine.activity[u].receive, soa.activity[u].receive) << u;
+      EXPECT_EQ(engine.activity[u].quiet, soa.activity[u].quiet) << u;
+    }
+    for (const net::Link link : network.links()) {
+      EXPECT_EQ(engine.state.is_covered(link), soa.is_covered(link));
+      if (engine.state.is_covered(link) && soa.is_covered(link)) {
+        EXPECT_EQ(engine.state.first_coverage_time(link),
+                  soa.first_coverage_slot(link));
+      }
+    }
+  }
+  return soa;
+}
+
 // Reception resolution's edge cases on hand-built networks with pinned
-// actions, so every expected reception is known in advance.
+// actions, so every expected reception is known in advance; each runs on
+// both slot engine paths and on the kernel.
 TEST(SoaKernel, ResolutionEdgeCases) {
   const net::ChannelSet both(2, {0, 1});
   {
@@ -387,17 +444,13 @@ TEST(SoaKernel, ResolutionEdgeCases) {
     config.stop_when_complete = false;
     config.interference = [](std::uint64_t, net::NodeId node,
                              net::ChannelId) { return node == 4; };
-    std::vector<ReceptionEvent> log;
-    const auto result = sim::run_soa_slot_kernel(
-        network, pinned_table({1, 1, 0, 0, 0}, {0, 0, 0, 0, 0}),
-        recording(config, log));
-
     std::vector<ReceptionEvent> expected;
     for (std::uint64_t slot = 0; slot < 3; ++slot) {
       expected.emplace_back(slot, 0, 2, 0);
       expected.emplace_back(slot, 0, 3, 0);
     }
-    EXPECT_EQ(log, expected);
+    const auto result = expect_pinned_receptions(
+        network, {1, 1, 0, 0, 0}, {0, 0, 0, 0, 0}, config, expected);
     EXPECT_EQ(result.receptions, 6u);
     EXPECT_TRUE(result.is_covered({0, 2}));
     EXPECT_TRUE(result.is_covered({0, 3}));
@@ -422,14 +475,9 @@ TEST(SoaKernel, ResolutionEdgeCases) {
     config.stop_when_complete = false;
     config.topology = &provider;
     config.epoch_length = 2;
-    std::vector<ReceptionEvent> log;
-    const auto result = sim::run_soa_slot_kernel(
-        provider.union_network(), pinned_table({1, 0, 1}, {0, 0, 0}),
-        recording(config, log));
-
-    const std::vector<ReceptionEvent> expected = {
-        {0, 0, 1, 0}, {1, 0, 1, 0}, {2, 2, 1, 0}, {3, 2, 1, 0}};
-    EXPECT_EQ(log, expected);
+    const auto result = expect_pinned_receptions(
+        provider.union_network(), {1, 0, 1}, {0, 0, 0}, config,
+        {{0, 0, 1, 0}, {1, 0, 1, 0}, {2, 2, 1, 0}, {3, 2, 1, 0}});
     EXPECT_DOUBLE_EQ(result.first_coverage_slot({0, 1}), 0.0);
     EXPECT_DOUBLE_EQ(result.first_coverage_slot({2, 1}), 2.0);
   }
@@ -572,10 +620,6 @@ constexpr std::uint64_t kScaleSlots = 200;
   sim::SlotEngineConfig config;
   config.max_slots = kScaleSlots;
   config.seed = seed;
-  // The indexed medium tests every same-channel transmitter in the network
-  // against each listener, O(N) per listener; the reference in-link scan
-  // is O(in-degree) and bit-identical to it by contract.
-  config.indexed_reception = false;
   config.faults.churn = {0.3, 20, 100, 10, 60, true};
   config.faults.burst_loss = {true, 0.05, 0.2, 0.02, 0.8};
   config.faults.adversary.fraction = 0.1;
@@ -584,16 +628,9 @@ constexpr std::uint64_t kScaleSlots = 200;
   return config;
 }
 
-TEST(SoaKernelAtScale, MatchesSlotEngine) {
-  const net::Network network = scale_network(scale_n());
-  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
-  const sim::SlotEngineConfig config = scale_config(17 + soak_offset());
-
-  const auto engine =
-      sim::run_slot_engine(network, core::make_policy_factory(spec), config);
-  const auto soa = sim::run_soa_slot_kernel(
-      network, core::build_soa_policy_table(network, spec), config);
-
+void expect_matches_at_scale(const net::Network& network,
+                             const sim::SlotEngineResult& engine,
+                             const sim::SoaSlotKernelResult& soa) {
   EXPECT_EQ(engine.complete, soa.complete);
   EXPECT_EQ(engine.completion_slot, soa.completion_slot);
   EXPECT_EQ(engine.slots_executed, soa.slots_executed);
@@ -620,6 +657,26 @@ TEST(SoaKernelAtScale, MatchesSlotEngine) {
   EXPECT_TRUE(soa.robustness.adversary);
   EXPECT_GT(soa.robustness.recovered_links, 0u);
   expect_same_robustness(engine.robustness, soa.robustness);
+}
+
+// The kernel against both slot engine paths: the default scatter and the
+// reference in-link scan.
+TEST(SoaKernelAtScale, MatchesSlotEngine) {
+  const net::Network network = scale_network(scale_n());
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
+  const sim::SlotEngineConfig config = scale_config(17 + soak_offset());
+
+  const auto soa = sim::run_soa_slot_kernel(
+      network, core::build_soa_policy_table(network, spec), config);
+  for (const bool indexed : {true, false}) {
+    SCOPED_TRACE(indexed ? "scatter" : "reference");
+    sim::SlotEngineConfig path = config;
+    path.indexed_reception = indexed;
+    expect_matches_at_scale(
+        network,
+        sim::run_slot_engine(network, core::make_policy_factory(spec), path),
+        soa);
+  }
 }
 
 void expect_same_samples(const util::Samples& a, const util::Samples& b) {
