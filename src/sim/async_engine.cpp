@@ -33,29 +33,35 @@ struct NodeState {
   double start_time = 0.0;       // real time the node starts discovery
 };
 
-// One live transmit frame in the per-channel interval index: the frame
-// record is copied so the index never dangles into a pruned history.
-struct TxEntry {
+// One transmit frame scattered into a receiver's inbox (indexed path):
+// frame `seq` of `sender` on `channel`, ending at real time `end`, over
+// union arc `arc`. The frame itself is read from the sender's history.
+struct InboxEntry {
   net::NodeId sender = net::kInvalidNode;
-  FrameRecord frame;
+  std::uint32_t arc = 0;
+  std::uint64_t seq = 0;
+  double end = 0.0;
+  net::ChannelId channel = net::kInvalidChannel;
 };
 
-enum class EventKind : unsigned char { kFrameEnd = 0, kFrameStart = 1 };
-
-struct Event {
+// A node's one pending boundary: the end of its current frame, which is
+// also the start of its next. Min-heap order: earliest time first, equal
+// times in node-id order.
+struct Boundary {
   double time = 0.0;
-  EventKind kind = EventKind::kFrameStart;
   net::NodeId node = net::kInvalidNode;
-  std::uint64_t frame_seq = 0;  // for kFrameEnd: which frame to resolve
 
-  // Min-heap ordering: earliest time first; frame ends before starts at
-  // equal times (the tie order is immaterial for correctness — see overlap
-  // semantics — but must be deterministic).
-  [[nodiscard]] friend bool operator>(const Event& a, const Event& b) {
-    if (a.time != b.time) return a.time > b.time;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.node > b.node;
+  [[nodiscard]] friend bool operator>(const Boundary& a, const Boundary& b) {
+    return a.time != b.time ? a.time > b.time : a.node > b.node;
   }
+};
+
+// One candidate transmit frame of a listening frame: a contiguous burst
+// of slots with the union arc id of sender → listener.
+struct Burst {
+  net::NodeId sender;
+  const FrameRecord* frame;
+  std::size_t arc;
 };
 
 }  // namespace
@@ -76,14 +82,14 @@ AsyncEngineResult run_async_engine(const net::Network& network,
   const bool has_interference = jammed.any();
 
   std::vector<NodeState> nodes(n);
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  std::priority_queue<Boundary, std::vector<Boundary>, std::greater<>> queue;
 
-  // Per-channel interval index of live transmit frames (indexed reception
-  // path): appended in event order — so sorted by frame start — and
-  // pruned from the front with the same retention horizon as the
-  // per-node histories.
-  std::vector<std::deque<TxEntry>> live_tx(
-      config.indexed_reception ? network.universe_size() : 0);
+  // Indexed path: each node's inbox of transmit frames scattered to it
+  // over its in-arcs as they start, in start order. Every boundary of the
+  // node drops the entries that ended by then, so an inbox holds only
+  // frames overlapping the node's current frame.
+  std::vector<std::vector<InboxEntry>> inboxes(
+      config.indexed_reception ? n : 0);
 
   double t_s = 0.0;
   for (net::NodeId u = 0; u < n; ++u) {
@@ -108,7 +114,7 @@ AsyncEngineResult run_async_engine(const net::Network& network,
     node.start_time = start_of(config.starts, u);
     t_s = std::max(t_s, node.start_time);
     node.local_next = node.clock->local_at_real(node.start_time);
-    queue.push({node.start_time, EventKind::kFrameStart, u, 0});
+    queue.push({node.start_time, u});
   }
 
   AsyncEngineResult result{.t_s = t_s,
@@ -121,10 +127,10 @@ AsyncEngineResult run_async_engine(const net::Network& network,
   // History retention: a frame overlapping a just-ended listening frame g
   // started no earlier than g.start minus one (maximal) frame length. Track
   // the longest real frame seen and keep a few multiples of it
-  // (kHistoryHorizonFactor, shared with the live-transmit index).
+  // (kHistoryHorizonFactor).
   double max_frame_real_len = 0.0;
   double last_covered_time = 0.0;
-  double end_time = 0.0;  // time of the last processed event (for assess)
+  double end_time = 0.0;  // the last processed instant (for assess)
 
   const double slot_local_len =
       config.frame_length / static_cast<double>(config.slots_per_frame);
@@ -135,143 +141,91 @@ AsyncEngineResult run_async_engine(const net::Network& network,
   const net::EpochTopologyProvider* provider =
       topology_provider_of(config, network);
 
-  while (!queue.empty()) {
-    const Event ev = queue.top();
-    queue.pop();
-    if (ev.time > config.max_real_time) break;
-    end_time = ev.time;
+  // Starts node u's next frame at its boundary `now`: draws the frame's
+  // action, appends it to the history, scatters a transmit frame into its
+  // receivers' inboxes and queues the frame's end. A node past its frame
+  // budget starts nothing and leaves the queue.
+  auto start_frame = [&](net::NodeId u, double now) {
+    NodeState& node = nodes[u];
+    if (node.next_seq >= config.max_frames_per_node) return;
 
-    NodeState& node = nodes[ev.node];
+    FrameRecord frame;
+    frame.start = now;
+    frame.slots = config.slots_per_frame;
+    frame.bounds[0] = now;
+    for (unsigned j = 1; j <= config.slots_per_frame; ++j) {
+      frame.bounds[j] = node.clock->real_at_local(
+          node.local_next + slot_local_len * static_cast<double>(j));
+    }
+    frame.end = frame.bounds[config.slots_per_frame];
+    M2HEW_CHECK_MSG(frame.end > frame.start,
+                    "clock must be strictly increasing");
+    max_frame_real_len = std::max(max_frame_real_len, frame.end - frame.start);
 
-    if (ev.kind == EventKind::kFrameStart) {
-      if (node.next_seq >= config.max_frames_per_node) continue;
-
-      FrameRecord frame;
-      frame.start = ev.time;
-      frame.slots = config.slots_per_frame;
-      frame.bounds[0] = ev.time;
-      for (unsigned j = 1; j <= config.slots_per_frame; ++j) {
-        frame.bounds[j] = node.clock->real_at_local(
-            node.local_next + slot_local_len * static_cast<double>(j));
-      }
-      frame.end = frame.bounds[config.slots_per_frame];
-      M2HEW_CHECK_MSG(frame.end > frame.start,
-                      "clock must be strictly increasing");
-      max_frame_real_len =
-          std::max(max_frame_real_len, frame.end - frame.start);
-
-      // Churn is sampled at frame starts: a node that is down when its
-      // next frame would begin keeps its radio off for the whole frame —
-      // the policy is not polled (its frame indices are node-local and
-      // resume after recovery), the frame stays quiet in the history so
-      // the seq/timing bookkeeping is undisturbed, and neither activity
-      // nor frames_started are counted.
-      const bool down = faults.down_at(ev.node, ev.time);
-      if (!down) {
-        // Adversary roles replace the node's policy at frame granularity,
-        // one action per frame — the frame-axis mirror of the slotted
-        // engines' per-slot intercept.
-        if (faults.scripted(ev.node)) {
-          const SlotAction action =
-              faults.adversary_action(ev.node, setup.rng(ev.node));
-          frame.mode = action.mode;
-          frame.channel = action.channel;
-        } else {
-          if (faults.consume_reset(ev.node, ev.time)) {
-            setup.reset_policy(ev.node);
-          }
-          const FrameAction action =
-              setup.policy(ev.node).next_frame(setup.rng(ev.node));
-          frame.mode = action.mode;
-          frame.channel = action.channel;
-          if (action.mode != Mode::kQuiet) {
-            M2HEW_DCHECK(network.available(ev.node).contains(action.channel));
-          }
+    // Churn is sampled at frame starts: a node that is down when its next
+    // frame would begin keeps its radio off for the whole frame — the
+    // policy is not polled (its frame indices are node-local and resume
+    // after recovery), the frame stays quiet in the history so the
+    // seq/timing bookkeeping is undisturbed, and neither activity nor
+    // frames_started are counted.
+    const bool down = faults.down_at(u, now);
+    if (!down) {
+      // Adversary roles replace the node's policy at frame granularity,
+      // one action per frame — the frame-axis mirror of the slotted
+      // engines' per-slot intercept.
+      if (faults.scripted(u)) {
+        const SlotAction action = faults.adversary_action(u, setup.rng(u));
+        frame.mode = action.mode;
+        frame.channel = action.channel;
+      } else {
+        if (faults.consume_reset(u, now)) setup.reset_policy(u);
+        const FrameAction action = setup.policy(u).next_frame(setup.rng(u));
+        frame.mode = action.mode;
+        frame.channel = action.channel;
+        if (action.mode != Mode::kQuiet) {
+          M2HEW_DCHECK(network.available(u).contains(action.channel));
         }
-        count_mode(result.activity[ev.node], frame.mode);
       }
-
-      // Prune history that can no longer overlap any live listening frame.
-      const double horizon =
-          ev.time - kHistoryHorizonFactor * max_frame_real_len;
-      while (!node.history.empty() && node.history.front().end < horizon) {
-        node.history.pop_front();
-        ++node.base_seq;
-      }
-
-      const std::uint64_t seq = node.next_seq++;
-      node.history.push_back(frame);
-      if (!down) ++result.frames_started[ev.node];
-      node.local_next += config.frame_length;
-
-      // Keep the transmit-frame index in step: insert the new live frame
-      // (a copy, so pruning a node's history never dangles the index) and
-      // drop entries that no retained listening frame can overlap.
-      if (config.indexed_reception && frame.mode == Mode::kTransmit) {
-        std::deque<TxEntry>& live = live_tx[frame.channel];
-        while (!live.empty() && live.front().frame.end < horizon) {
-          live.pop_front();
-        }
-        live.push_back({ev.node, frame});
-      }
-
-      if (frame.mode == Mode::kReceive) {
-        queue.push({frame.end, EventKind::kFrameEnd, ev.node, seq});
-      }
-      queue.push({frame.end, EventKind::kFrameStart, ev.node, 0});
-      continue;
+      count_mode(result.activity[u], frame.mode);
     }
 
-    // Frame end of a listening frame: resolve receptions.
-    M2HEW_CHECK(ev.frame_seq >= node.base_seq);
-    const FrameRecord& g =
-        node.history[static_cast<std::size_t>(ev.frame_seq - node.base_seq)];
+    // Prune history that can no longer overlap any live listening frame.
+    const double horizon = now - kHistoryHorizonFactor * max_frame_real_len;
+    while (!node.history.empty() && node.history.front().end < horizon) {
+      node.history.pop_front();
+      ++node.base_seq;
+    }
+
+    const std::uint64_t seq = node.next_seq++;
+    node.history.push_back(frame);
+    if (!down) ++result.frames_started[u];
+    node.local_next += config.frame_length;
+
+    if (config.indexed_reception && frame.mode == Mode::kTransmit) {
+      const std::size_t first = network.first_out_arc(u);
+      const auto out = network.out_arcs(u);
+      for (std::size_t k = 0; k < out.size(); ++k) {
+        if (network.out_arc_carries(first + k, frame.channel)) {
+          inboxes[out[k].to].push_back(
+              {u, out[k].arc, seq, frame.end, frame.channel});
+        }
+      }
+    }
+    queue.push({frame.end, u});
+  };
+
+  // Collects into `bursts` the transmit frames on g's channel that overlap
+  // listening frame g of u and whose live arc to u carries the channel (a
+  // transmission that does not propagate to u neither delivers nor
+  // interferes), in (sender id, frame start) order.
+  std::vector<Burst> bursts;
+  auto collect_bursts = [&](net::NodeId u, const FrameRecord& g) {
     const net::ChannelId c = g.channel;
-    const net::NodeId u = ev.node;
     const net::LiveArcs live_arcs =
         live_arcs_at(provider, config.epoch_length, g.start);
-
-    // Collect all in-neighbor transmissions on c that overlap g and whose
-    // live arc to u actually carries c (a transmission that does not
-    // propagate to u neither delivers nor interferes). Each entry is one
-    // transmitting *frame* (a contiguous burst of slots) with the union
-    // arc id of sender → u.
-    struct Burst {
-      net::NodeId sender;
-      const FrameRecord* frame;
-      std::size_t arc;
-    };
-    std::vector<Burst> bursts;
-    if (config.indexed_reception) {
-      // Touch only live transmissions on c: prune the channel's index to
-      // the retention horizon, filter by overlap and the flat in-neighbor
-      // adjacency, then sort into the reference path's (sender id, frame
-      // start) order so callbacks and loss_rng draws are bit-identical.
-      std::deque<TxEntry>& live = live_tx[c];
-      const double horizon =
-          ev.time - kHistoryHorizonFactor * max_frame_real_len;
-      while (!live.empty() && live.front().frame.end < horizon) {
-        live.pop_front();
-      }
-      for (const TxEntry& entry : live) {
-        if (entry.sender == u) continue;
-        if (entry.frame.start >= g.end || entry.frame.end <= g.start) {
-          continue;
-        }
-        const std::size_t arc = network.in_arc(entry.sender, u);
-        if (arc == net::Network::kNoArc || !live_arcs(arc) ||
-            !network.arc_span(arc).contains(c)) {
-          continue;
-        }
-        bursts.push_back({entry.sender, &entry.frame, arc});
-      }
-      std::sort(bursts.begin(), bursts.end(),
-                [](const Burst& a, const Burst& b) {
-                  return a.sender != b.sender
-                             ? a.sender < b.sender
-                             : a.frame->start < b.frame->start;
-                });
-    } else {
+    bursts.clear();
+    if (!config.indexed_reception) {
+      // Reference: every in-neighbor's entire retained history.
       const std::size_t first = network.first_in_arc(u);
       const auto in = network.in_links(u);
       for (std::size_t k = 0; k < in.size(); ++k) {
@@ -283,35 +237,62 @@ AsyncEngineResult run_async_engine(const net::Network& network,
           }
         }
       }
+      return;
     }
-
-    // Whether sender `who` actually emits during slot j of frame f: under
-    // dynamic interference, a jammed transmitter vacates that slot. The
-    // PU field is sampled at the slot midpoint — the same instant the
-    // listener side samples below — so both ends of a link always agree
-    // about one interference burst.
-    auto slot_transmitted = [&](net::NodeId who, const FrameRecord& f,
-                                unsigned j) {
-      if (!has_interference) return true;
-      return !jammed((f.bounds[j] + f.bounds[j + 1]) / 2.0, who, f.channel);
-    };
-    // Whether any non-suppressed slot of `other` overlaps (s0, s1).
-    auto burst_interferes = [&](const Burst& other, double s0, double s1) {
-      const FrameRecord& h = *other.frame;
-      if (h.start >= s1 || h.end <= s0) return false;
-      if (!has_interference) return true;  // contiguous burst
-      for (unsigned j = 0; j < h.slots; ++j) {
-        if (h.bounds[j] < s1 && h.bounds[j + 1] > s0 &&
-            slot_transmitted(other.sender, h, j)) {
-          return true;
-        }
+    // Indexed: u's inbox holds only frames whose arc to u carries their
+    // channel and that ended after g started; the sort restores the
+    // reference order, so callbacks and loss_rng draws are bit-identical.
+    for (const InboxEntry& entry : inboxes[u]) {
+      if (entry.channel != c || entry.end <= g.start ||
+          !live_arcs(entry.arc)) {
+        continue;
       }
-      return false;
-    };
+      const NodeState& sender = nodes[entry.sender];
+      // A frame pruned from its sender's history ended before the
+      // retention horizon, so it cannot overlap g: skip it, never read it.
+      if (entry.seq < sender.base_seq) continue;
+      const FrameRecord& f = sender.history[static_cast<std::size_t>(
+          entry.seq - sender.base_seq)];
+      if (f.start < g.end) bursts.push_back({entry.sender, &f, entry.arc});
+    }
+    std::sort(bursts.begin(), bursts.end(),
+              [](const Burst& a, const Burst& b) {
+                return a.sender != b.sender
+                           ? a.sender < b.sender
+                           : a.frame->start < b.frame->start;
+              });
+  };
 
-    // For each transmitting neighbor frame, test each of its slots for
-    // clear reception: slot fully inside g, no other sender's burst
-    // overlapping the slot.
+  // Whether sender `who` actually emits during slot j of frame f: under
+  // dynamic interference, a jammed transmitter vacates that slot. The PU
+  // field is sampled at the slot midpoint — the same instant the listener
+  // side samples below — so both ends of a link always agree about one
+  // interference burst.
+  auto slot_transmitted = [&](net::NodeId who, const FrameRecord& f,
+                              unsigned j) {
+    if (!has_interference) return true;
+    return !jammed((f.bounds[j] + f.bounds[j + 1]) / 2.0, who, f.channel);
+  };
+  // Whether any non-suppressed slot of `other` overlaps (s0, s1).
+  auto burst_interferes = [&](const Burst& other, double s0, double s1) {
+    const FrameRecord& h = *other.frame;
+    if (h.start >= s1 || h.end <= s0) return false;
+    if (!has_interference) return true;  // contiguous burst
+    for (unsigned j = 0; j < h.slots; ++j) {
+      if (h.bounds[j] < s1 && h.bounds[j + 1] > s0 &&
+          slot_transmitted(other.sender, h, j)) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  // Resolves listening frame g of u, which ends now: for each candidate
+  // transmit frame, tests its slots for clear reception — slot fully
+  // inside g, no other sender's burst overlapping the slot.
+  auto resolve = [&](net::NodeId u, const FrameRecord& g) {
+    const net::ChannelId c = g.channel;
+    collect_bursts(u, g);
     for (const Burst& burst : bursts) {
       const FrameRecord& f = *burst.frame;
       for (unsigned j = 0; j < f.slots; ++j) {
@@ -354,11 +335,43 @@ AsyncEngineResult run_async_engine(const net::Network& network,
         break;
       }
     }
+  };
 
-    if (note_completion(result.state, result.complete, result.completion_time,
-                        last_covered_time, config.stop_when_complete)) {
-      break;
+  // One instant at a time: pop every node whose boundary is now, resolve
+  // their ending listening frames in node-id order — stopping there if
+  // discovery completes — then start their next frames in node-id order.
+  std::vector<net::NodeId> due;
+  while (!queue.empty()) {
+    const double now = queue.top().time;
+    if (now > config.max_real_time) break;
+    end_time = now;
+    due.clear();
+    while (!queue.empty() && queue.top().time == now) {
+      due.push_back(queue.top().node);
+      queue.pop();
     }
+
+    bool stop = false;
+    for (const net::NodeId u : due) {
+      NodeState& node = nodes[u];
+      if (!node.history.empty() &&
+          node.history.back().mode == Mode::kReceive) {
+        resolve(u, node.history.back());
+        if (note_completion(result.state, result.complete,
+                            result.completion_time, last_covered_time,
+                            config.stop_when_complete)) {
+          stop = true;
+          break;
+        }
+      }
+      if (config.indexed_reception) {
+        // No later frame of u can overlap a frame that ended by now.
+        std::erase_if(inboxes[u],
+                      [now](const InboxEntry& e) { return e.end <= now; });
+      }
+    }
+    if (stop) break;
+    for (const net::NodeId u : due) start_frame(u, now);
   }
 
   result.robustness = faults.assess(result.state, end_time);

@@ -41,15 +41,23 @@ namespace m2hew::sim {
 /// jammed at its midpoint, and a reception fails when the receiver is
 /// jammed at the candidate slot's midpoint — so a burst can never be seen
 /// by one end of a link and missed by the other. PU activity is assumed
-/// roughly constant over one slot (periods ≫ L/3). The async
-/// `indexed_reception` index is a per-channel interval index of live
-/// transmit frames, maintained incrementally as frames start and pruned
-/// with the shared retention horizon (kHistoryHorizonFactor), so
-/// resolving a listening frame touches only actual transmissions on its
-/// channel; the reference path rescans every in-neighbor's entire
-/// retained frame history. Both paths are bit-identical by contract:
-/// candidate transmit frames are processed in (sender id, frame start)
-/// order, so policy callbacks, loss-RNG draws and recorded times agree.
+/// roughly constant over one slot (periods ≫ L/3). With
+/// `indexed_reception` (the default) a transmit frame is scattered, as it
+/// starts, over its sender's out-arcs into the inbox of every receiver
+/// whose arc carries its channel, and a listening frame is resolved from
+/// its own node's inbox alone, so the work per frame is proportional to
+/// the node's degree at any network size. The reference path rescans
+/// every in-neighbor's entire retained frame history. Both paths are
+/// bit-identical by contract: candidate transmit frames are processed in
+/// (sender id, frame start) order, so policy callbacks, loss-RNG draws
+/// and recorded times agree.
+///
+/// Event order: the engine keeps one pending boundary per node — the end
+/// of its current frame, which is the start of its next — ordered by
+/// (time, node id). All nodes due at one instant are handled together:
+/// their ending listening frames are resolved in node-id order, and if
+/// discovery completes there the run stops before that instant's frames
+/// start; otherwise their next frames start in node-id order.
 struct AsyncEngineConfig : AsyncEngineCommon {
   /// Frame length L in local clock units.
   double frame_length = 1.0;

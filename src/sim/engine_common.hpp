@@ -49,9 +49,9 @@ struct EngineCommon {
   /// = no external interference. Must be deterministic.
   std::function<bool(Time, net::NodeId, net::ChannelId)> interference;
 
-  /// Reception-resolution strategy. true (default): the slotted engines
-  /// scatter each transmission over its out-arcs (SlotMedium), the async
-  /// engine resolves through its live transmit-frame interval index.
+  /// Reception-resolution strategy. true (default): every engine scatters
+  /// each transmission over its sender's out-arcs — per slot through
+  /// SlotMedium, per transmit frame into the receivers' inboxes (async).
   /// false: the original per-listener scan over all in-neighbors, kept as
   /// the naive reference implementation for the equivalence property
   /// tests. Both paths are bit-identical by contract — same policy
@@ -255,12 +255,11 @@ template <typename Time, typename Admit>
   return {Disposition::kAdmitted, sender};
 }
 
-/// History-retention horizon factor shared by the async engine's frame
-/// histories and its per-channel live-transmit index: entries ending
-/// before `now - kHistoryHorizonFactor × max frame length` can no longer
-/// overlap any unresolved listening frame and are pruned. A tighter
-/// factor can drop a transmit frame a still-unresolved listening frame
-/// overlaps (see docs/EXTENDING.md).
+/// History-retention horizon factor of the async engine's per-node frame
+/// histories: frames ending before `now - kHistoryHorizonFactor × max
+/// frame length` can no longer overlap any unresolved listening frame and
+/// are pruned. A tighter factor can drop a transmit frame a
+/// still-unresolved listening frame overlaps (see docs/EXTENDING.md).
 inline constexpr double kHistoryHorizonFactor = 4.0;
 
 }  // namespace m2hew::sim

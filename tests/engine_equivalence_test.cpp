@@ -1,10 +1,10 @@
 // Equivalence property test for the indexed reception hot paths.
 //
 // Both engines resolve receptions through an indexed path — the slot
-// engine's transmitter-side scatter, the async engine's per-channel frame
-// index (SlotEngineConfig/AsyncEngineConfig `indexed_reception`, the
-// default) — but keep the original per-listener scans as naive reference
-// implementations.
+// engine's per-slot transmitter-side scatter, the async engine's per-frame
+// scatter into receiver inboxes (SlotEngineConfig/AsyncEngineConfig
+// `indexed_reception`, the default) — but keep the original per-listener
+// scans as naive reference implementations.
 // The rewrite's contract is *bit identity*: for any topology, channel
 // assignment, policy, loss rate, interference schedule, start pattern and
 // seed, the indexed path must produce exactly the same DiscoveryState,
