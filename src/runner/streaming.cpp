@@ -2,74 +2,33 @@
 
 #include <cinttypes>
 #include <cstdio>
-
-#include "util/check.hpp"
+#include <utility>
 
 namespace m2hew::runner {
 
-TrialOutcomeRecord make_outcome_record(
-    std::size_t trial, bool complete, std::uint64_t completion_slot,
-    const sim::RobustnessReport& robustness) {
-  TrialOutcomeRecord record;
-  record.trial = trial;
-  record.complete = complete;
-  record.completion_slot = static_cast<double>(completion_slot);
-  record.fault_enabled = robustness.enabled;
-  record.surviving_links = robustness.surviving_links;
-  record.covered_surviving_links = robustness.covered_surviving_links;
-  record.ghost_entries = robustness.ghost_entries;
-  record.recovered_links = robustness.recovered_links;
-  record.rediscovered_links = robustness.rediscovered_links;
-  record.mean_rediscovery = robustness.mean_rediscovery;
-  record.adversary = robustness.adversary;
-  record.real_entries = robustness.real_entries;
-  record.fake_entries = robustness.fake_entries;
-  record.isolated_fakes = robustness.isolated_fakes;
-  record.honest_isolated = robustness.honest_isolated;
-  record.mean_isolation = robustness.mean_isolation;
-  return record;
-}
-
-sim::RobustnessReport to_robustness_report(const TrialOutcomeRecord& record) {
-  sim::RobustnessReport report;
-  report.enabled = record.fault_enabled;
-  report.surviving_links = record.surviving_links;
-  report.covered_surviving_links = record.covered_surviving_links;
-  report.ghost_entries = record.ghost_entries;
-  report.recovered_links = record.recovered_links;
-  report.rediscovered_links = record.rediscovered_links;
-  report.mean_rediscovery = record.mean_rediscovery;
-  report.adversary = record.adversary;
-  report.real_entries = record.real_entries;
-  report.fake_entries = record.fake_entries;
-  report.isolated_fakes = record.isolated_fakes;
-  report.honest_isolated = record.honest_isolated;
-  report.mean_isolation = record.mean_isolation;
-  return report;
-}
-
-std::string encode_outcome_record(const TrialOutcomeRecord& record) {
+std::string encode_outcome(std::size_t trial, const TrialOutcome& outcome) {
   // %a renders the exact binary representation of the doubles, so decode
   // reproduces them bit-for-bit; everything else is integral.
+  const sim::RobustnessReport& r = outcome.robustness;
   char buf[384];
   std::snprintf(buf, sizeof buf,
                 "R %zu %d %a %d %zu %zu %zu %zu %zu %a %d %zu %zu %zu %zu %a",
-                record.trial, record.complete ? 1 : 0,
-                record.completion_slot, record.fault_enabled ? 1 : 0,
-                record.surviving_links, record.covered_surviving_links,
-                record.ghost_entries, record.recovered_links,
-                record.rediscovered_links, record.mean_rediscovery,
-                record.adversary ? 1 : 0, record.real_entries,
-                record.fake_entries, record.isolated_fakes,
-                record.honest_isolated, record.mean_isolation);
+                trial, outcome.complete ? 1 : 0, outcome.completion,
+                r.enabled ? 1 : 0, r.surviving_links,
+                r.covered_surviving_links, r.ghost_entries, r.recovered_links,
+                r.rediscovered_links, r.mean_rediscovery, r.adversary ? 1 : 0,
+                r.real_entries, r.fake_entries, r.isolated_fakes,
+                r.honest_isolated, r.mean_isolation);
   return buf;
 }
 
-std::optional<TrialOutcomeRecord> decode_outcome_record(
+std::optional<std::pair<std::size_t, TrialOutcome>> decode_outcome(
     std::string_view line) {
   if (line.size() < 2 || line[0] != 'R' || line[1] != ' ') return {};
   const std::string text(line.substr(2));
-  TrialOutcomeRecord record;
+  std::size_t trial = 0;
+  TrialOutcome outcome;
+  sim::RobustnessReport& r = outcome.robustness;
   int complete = 0;
   int fault = 0;
   int adversary = 0;
@@ -77,12 +36,11 @@ std::optional<TrialOutcomeRecord> decode_outcome_record(
   const int matched = std::sscanf(
       text.c_str(),
       "%zu %d %la %d %zu %zu %zu %zu %zu %la %d %zu %zu %zu %zu %la%n",
-      &record.trial, &complete, &record.completion_slot, &fault,
-      &record.surviving_links, &record.covered_surviving_links,
-      &record.ghost_entries, &record.recovered_links,
-      &record.rediscovered_links, &record.mean_rediscovery, &adversary,
-      &record.real_entries, &record.fake_entries, &record.isolated_fakes,
-      &record.honest_isolated, &record.mean_isolation, &consumed);
+      &trial, &complete, &outcome.completion, &fault, &r.surviving_links,
+      &r.covered_surviving_links, &r.ghost_entries, &r.recovered_links,
+      &r.rediscovered_links, &r.mean_rediscovery, &adversary,
+      &r.real_entries, &r.fake_entries, &r.isolated_fakes,
+      &r.honest_isolated, &r.mean_isolation, &consumed);
   if (matched != 16 || consumed < 0 ||
       static_cast<std::size_t>(consumed) != text.size()) {
     return {};
@@ -91,10 +49,21 @@ std::optional<TrialOutcomeRecord> decode_outcome_record(
       (adversary != 0 && adversary != 1)) {
     return {};
   }
-  record.complete = complete == 1;
-  record.fault_enabled = fault == 1;
-  record.adversary = adversary == 1;
-  return record;
+  outcome.complete = complete == 1;
+  r.enabled = fault == 1;
+  r.adversary = adversary == 1;
+  return std::make_pair(trial, std::move(outcome));
+}
+
+bool place_outcome(std::string_view line,
+                   std::vector<std::optional<TrialOutcome>>& slots) {
+  auto decoded = decode_outcome(line);
+  if (!decoded.has_value()) return false;
+  const std::size_t trial = decoded->first;
+  if (trial < slots.size() && !slots[trial].has_value()) {
+    slots[trial] = std::move(decoded->second);
+  }
+  return true;
 }
 
 std::string encode_end_marker(std::size_t shard, std::size_t emitted) {
@@ -116,54 +85,6 @@ std::optional<std::pair<std::size_t, std::size_t>> decode_end_marker(
     return {};
   }
   return std::make_pair(shard, emitted);
-}
-
-StreamingSyncReducer::StreamingSyncReducer(std::size_t trials)
-    : trials_(trials), seen_(trials, false) {
-  stats_.trials = trials;
-  stats_.completion_slots.reserve(trials);
-}
-
-bool StreamingSyncReducer::offer(const TrialOutcomeRecord& record) {
-  if (record.trial >= trials_ || seen_[record.trial]) return false;
-  seen_[record.trial] = true;
-  ++received_;
-  pending_.emplace(record.trial, record);
-  drain();
-  return true;
-}
-
-void StreamingSyncReducer::drain() {
-  // Fold the contiguous run starting at next_; everything later stays
-  // buffered. This is the only place records enter the aggregate, so the
-  // fold order is the trial order no matter how offers interleave.
-  for (auto it = pending_.begin();
-       it != pending_.end() && it->first == next_;
-       it = pending_.erase(it), ++next_) {
-    const TrialOutcomeRecord& record = it->second;
-    fold_robustness(stats_.robustness, to_robustness_report(record));
-    if (!record.complete) continue;
-    ++stats_.completed;
-    stats_.completion_slots.add(record.completion_slot);
-  }
-}
-
-std::vector<std::size_t> StreamingSyncReducer::missing_trials() const {
-  std::vector<std::size_t> missing;
-  for (std::size_t t = 0; t < trials_; ++t) {
-    if (!seen_[t]) missing.push_back(t);
-  }
-  return missing;
-}
-
-SyncTrialStats StreamingSyncReducer::finish(double elapsed_seconds,
-                                            std::size_t workers) {
-  M2HEW_CHECK_MSG(all_received(), "streaming reduction finished early");
-  M2HEW_CHECK(pending_.empty());
-  stats_.elapsed_seconds = elapsed_seconds;
-  stats_.threads_used = workers;
-  log_trial_run(make_sync_run_record(stats_));
-  return stats_;
 }
 
 }  // namespace m2hew::runner

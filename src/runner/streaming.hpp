@@ -1,83 +1,52 @@
-// Streaming trial reduction and the worker wire format.
+// The worker wire format of the sweep service's sharded runs.
 //
 // The sweep service shards a trial range across worker processes; each
-// worker streams one TrialOutcomeRecord line per finished trial back over
-// a pipe. Records arrive in whatever order the workers' scheduling
-// produces, but the aggregate must be bit-identical to the batch runner,
-// whose reduction walks outcomes in trial order. StreamingSyncReducer
-// restores that order with a reorder buffer: records are folded into the
-// running SyncTrialStats the moment the next-in-trial-order record is
-// available, and out-of-order arrivals wait in a map keyed by trial
-// index. Memory is O(out-of-orderness) — with K workers interleaving
-// round-robin shards, a handful of records — never O(trials) outcome
-// vectors (the retained completion/robustness Samples the batch runner
-// also keeps are the aggregate itself, not a buffer).
+// worker streams one line per finished trial, its runner::TrialOutcome
+// tagged with the trial index, back over a pipe. The parent places each
+// decoded outcome at its trial index and, once every slot is filled, hands
+// the outcomes in trial order to runner::reduce_sync_trials, the fold the
+// batch runner ends in. Arrival order therefore never reaches the
+// aggregate.
 //
-// The wire format is line-oriented ASCII with C99 hexfloat ("%a") doubles,
-// so every value round-trips bit-exactly through the pipe. See
+// The format is line-oriented ASCII with C99 hexfloat ("%a") doubles, so
+// every value round-trips bit-exactly through the pipe. See
 // docs/OPERATIONS.md "Worker protocol" for the framing contract.
 #pragma once
 
-#include <map>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "runner/trials.hpp"
-#include "sim/fault_plan.hpp"
 
 namespace m2hew::runner {
 
-/// One trial's contribution to the aggregate — everything the batch
-/// reduction reads from a SlotEngineResult, and nothing else. Robustness
-/// fields not consumed by fold_robustness (crashed_nodes, max_rediscovery,
-/// down_at_end) are deliberately not carried.
-struct TrialOutcomeRecord {
-  std::size_t trial = 0;
-  bool complete = false;
-  double completion_slot = 0.0;
-
-  bool fault_enabled = false;  ///< RobustnessReport::enabled
-  std::size_t surviving_links = 0;
-  std::size_t covered_surviving_links = 0;
-  std::size_t ghost_entries = 0;
-  std::size_t recovered_links = 0;
-  std::size_t rediscovered_links = 0;
-  double mean_rediscovery = 0.0;
-
-  bool adversary = false;  ///< RobustnessReport::adversary
-  std::size_t real_entries = 0;
-  std::size_t fake_entries = 0;
-  std::size_t isolated_fakes = 0;
-  std::size_t honest_isolated = 0;
-  double mean_isolation = 0.0;
-};
-
-/// Builds the record for trial `trial` from an engine/kernel result pair
-/// (the two fields every slotted result type exposes) and its robustness
-/// report.
-[[nodiscard]] TrialOutcomeRecord make_outcome_record(
-    std::size_t trial, bool complete, std::uint64_t completion_slot,
-    const sim::RobustnessReport& robustness);
-
-/// The robustness view fold_robustness needs, reconstructed from a record.
-/// surviving_recall() is recomputed from the same integer counts the
-/// sending side had, so the resulting double is bit-identical.
-[[nodiscard]] sim::RobustnessReport to_robustness_report(
-    const TrialOutcomeRecord& record);
-
 /// One wire line (no trailing newline): "R <trial> <complete> <slot:%a>
 /// <fault> <surv> <cov> <ghost> <rec> <red> <mean:%a> <adv> <real>
-/// <fake> <isolated> <honest> <isolation:%a>".
-[[nodiscard]] std::string encode_outcome_record(
-    const TrialOutcomeRecord& record);
+/// <fake> <isolated> <honest> <isolation:%a>". It carries what the slotted
+/// fold reads: completion and the robustness counts behind fold_robustness.
+/// Robustness fields the fold never reads (crashed_nodes, down_at_end,
+/// adversary_nodes, max_rediscovery, max_isolation), max_frames and
+/// encounter reports are not carried; the sweep service tracks no contacts.
+[[nodiscard]] std::string encode_outcome(std::size_t trial,
+                                         const TrialOutcome& outcome);
 
-/// Parses a wire line; nullopt on anything malformed (wrong tag, missing
-/// fields, trailing garbage). Malformed lines are a protocol violation
-/// the caller surfaces as a worker failure, never silently skipped data.
-[[nodiscard]] std::optional<TrialOutcomeRecord> decode_outcome_record(
-    std::string_view line);
+/// Parses a wire line into (trial, outcome); nullopt on anything malformed
+/// (wrong tag, missing fields, trailing garbage). Malformed lines are a
+/// protocol violation the caller surfaces as a worker failure, never
+/// silently skipped data.
+[[nodiscard]] std::optional<std::pair<std::size_t, TrialOutcome>>
+decode_outcome(std::string_view line);
+
+/// Decodes an outcome line into `slots[trial]`. Returns false, touching
+/// nothing, when the line is not a well-formed outcome line. A well-formed
+/// line whose trial index is out of range or already filled is consumed
+/// (returns true) but leaves `slots` untouched, so a respawned worker
+/// re-covering ground stays harmless.
+[[nodiscard]] bool place_outcome(
+    std::string_view line, std::vector<std::optional<TrialOutcome>>& slots);
 
 /// End-of-shard marker: "E <shard> <records-emitted>". A worker that dies
 /// mid-shard never writes it, which is how the parent tells a crash from
@@ -86,50 +55,5 @@ struct TrialOutcomeRecord {
                                             std::size_t emitted);
 [[nodiscard]] std::optional<std::pair<std::size_t, std::size_t>>
 decode_end_marker(std::string_view line);
-
-/// Order-restoring streaming aggregator. offer() accepts records in any
-/// arrival order; the fold into SyncTrialStats happens strictly in trial
-/// order through runner::fold_robustness — the same code path, in the
-/// same order, as the batch runner's reduction loop.
-class StreamingSyncReducer {
- public:
-  /// `trials` is the total trial count of the run being reduced.
-  explicit StreamingSyncReducer(std::size_t trials);
-
-  /// Folds (or buffers) one record. Returns false — without touching the
-  /// aggregate — for a duplicate or out-of-range trial index, so a
-  /// respawned worker re-covering ground stays harmless.
-  bool offer(const TrialOutcomeRecord& record);
-
-  [[nodiscard]] std::size_t trials() const noexcept { return trials_; }
-  /// Records accepted so far (folded + buffered).
-  [[nodiscard]] std::size_t received() const noexcept { return received_; }
-  /// Buffered records still waiting for an earlier trial (reorder window).
-  [[nodiscard]] std::size_t buffered() const noexcept {
-    return pending_.size();
-  }
-  [[nodiscard]] bool all_received() const noexcept {
-    return received_ == trials_;
-  }
-  /// Trial indices not yet offered — what a recovery worker must re-run
-  /// after a crash.
-  [[nodiscard]] std::vector<std::size_t> missing_trials() const;
-
-  /// Finalizes and returns the aggregate (CHECKs all_received()), stamping
-  /// wall-clock and worker count and appending to the process trial-run
-  /// log exactly like run_sync_trials does.
-  [[nodiscard]] SyncTrialStats finish(double elapsed_seconds,
-                                      std::size_t workers);
-
- private:
-  void drain();
-
-  std::size_t trials_;
-  std::size_t received_ = 0;
-  std::size_t next_ = 0;  // next trial index to fold
-  std::map<std::size_t, TrialOutcomeRecord> pending_;
-  std::vector<bool> seen_;
-  SyncTrialStats stats_;
-};
 
 }  // namespace m2hew::runner

@@ -18,13 +18,6 @@ namespace {
 
 std::atomic<std::size_t> g_default_threads{0};  // 0 = not set yet
 
-// Process-wide throughput totals (see log_trial_run); relaxed atomics are
-// enough because the numbers are reporting-only and never gate control
-// flow.
-std::atomic<std::size_t> g_total_runs{0};
-std::atomic<std::size_t> g_total_trials{0};
-std::atomic<double> g_total_busy_seconds{0.0};
-
 // Per-run log for the bench JSON artifacts; run_*_trials may be invoked
 // from several threads, so the vector is mutex-guarded.
 std::mutex g_run_log_mutex;
@@ -119,32 +112,6 @@ void dispatch_trials(std::size_t count, std::size_t threads,
   pool.parallel_for(count, body);
 }
 
-}  // namespace
-
-void set_default_trial_threads(std::size_t threads) noexcept {
-  g_default_threads.store(threads == 0 ? util::ThreadPool::default_threads()
-                                       : threads,
-                          std::memory_order_relaxed);
-}
-
-std::size_t default_trial_threads() noexcept {
-  const std::size_t set = g_default_threads.load(std::memory_order_relaxed);
-  return set == 0 ? util::ThreadPool::default_threads() : set;
-}
-
-TrialThroughput trial_throughput_totals() noexcept {
-  TrialThroughput totals;
-  totals.runs = g_total_runs.load(std::memory_order_relaxed);
-  totals.trials = g_total_trials.load(std::memory_order_relaxed);
-  totals.busy_seconds = g_total_busy_seconds.load(std::memory_order_relaxed);
-  return totals;
-}
-
-std::vector<TrialRunRecord> trial_run_log() {
-  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
-  return run_log();
-}
-
 void fold_robustness(RobustnessStats& aggregate,
                      const sim::RobustnessReport& report) {
   if (!report.enabled) return;
@@ -191,41 +158,91 @@ void fold_encounters(EncounterStats& aggregate,
   }
 }
 
+/// The one fold: outcomes in trial order into the aggregate (the retained
+/// Samples keep insertion order), then the run record.
+template <typename Stats>
+[[nodiscard]] Stats reduce_trials(const std::vector<TrialOutcome>& outcomes,
+                                  double elapsed_seconds,
+                                  std::size_t threads) {
+  constexpr bool kAsync = std::is_same_v<Stats, AsyncTrialStats>;
+  Stats stats;
+  stats.trials = outcomes.size();
+  util::Samples* const completion = [&stats] {
+    if constexpr (kAsync) {
+      return &stats.completion_after_ts;
+    } else {
+      return &stats.completion_slots;
+    }
+  }();
+  completion->reserve(outcomes.size());
+  for (const TrialOutcome& outcome : outcomes) {
+    fold_robustness(stats.robustness, outcome.robustness);
+    if (outcome.encounters.has_value()) {
+      fold_encounters(stats.encounters, *outcome.encounters, outcome.energy);
+    }
+    if (!outcome.complete) continue;
+    ++stats.completed;
+    completion->add(outcome.completion);
+    if constexpr (kAsync) stats.max_full_frames.add(outcome.max_frames);
+  }
+  stats.elapsed_seconds = elapsed_seconds;
+  stats.threads_used = threads;
+  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
+  run_log().push_back(make_run_record(stats, kAsync, *completion));
+  return stats;
+}
+
+}  // namespace
+
+void set_default_trial_threads(std::size_t threads) noexcept {
+  g_default_threads.store(threads == 0 ? util::ThreadPool::default_threads()
+                                       : threads,
+                          std::memory_order_relaxed);
+}
+
+std::size_t default_trial_threads() noexcept {
+  const std::size_t set = g_default_threads.load(std::memory_order_relaxed);
+  return set == 0 ? util::ThreadPool::default_threads() : set;
+}
+
+TrialThroughput throughput_of(
+    const std::vector<TrialRunRecord>& runs) noexcept {
+  TrialThroughput totals;
+  for (const TrialRunRecord& run : runs) {
+    ++totals.runs;
+    totals.trials += run.trials;
+    totals.busy_seconds += run.elapsed_seconds;
+  }
+  return totals;
+}
+
+TrialThroughput trial_throughput_totals() {
+  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
+  return throughput_of(run_log());
+}
+
+std::vector<TrialRunRecord> trial_run_log() {
+  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
+  return run_log();
+}
+
 TrialRunRecord make_sync_run_record(const SyncTrialStats& stats) {
   return make_run_record(stats, /*async=*/false, stats.completion_slots);
 }
 
-void log_trial_run(const TrialRunRecord& record) {
-  g_total_runs.fetch_add(1, std::memory_order_relaxed);
-  g_total_trials.fetch_add(record.trials, std::memory_order_relaxed);
-  double seen = g_total_busy_seconds.load(std::memory_order_relaxed);
-  while (!g_total_busy_seconds.compare_exchange_weak(
-      seen, seen + record.elapsed_seconds, std::memory_order_relaxed)) {
-  }
-  const std::lock_guard<std::mutex> lock(g_run_log_mutex);
-  run_log().push_back(record);
+SyncTrialStats reduce_sync_trials(const std::vector<TrialOutcome>& outcomes,
+                                  double elapsed_seconds,
+                                  std::size_t threads) {
+  return reduce_trials<SyncTrialStats>(outcomes, elapsed_seconds, threads);
 }
 
 namespace {
 
-/// One trial's result, reduced to what the aggregate keeps.
-struct Outcome {
-  bool complete = false;
-  /// Completion slot (slotted) or completion time after T_s (async).
-  double completion = 0.0;
-  /// Async only: max over nodes of full frames since T_s.
-  double max_frames = 0.0;
-  sim::RobustnessReport robustness;
-  /// Set only when the trial tracked contacts, with its radio energy.
-  std::optional<sim::EncounterReport> encounters;
-  double energy = 0.0;
-};
-
 /// Runs one slotted trial, tracking contacts when `encounters` is set.
 template <typename Run>
-[[nodiscard]] Outcome run_slotted_trial(sim::SlotEngineConfig& engine,
-                                        const sim::EncounterIndex* encounters,
-                                        const Run& run) {
+[[nodiscard]] TrialOutcome run_slotted_trial(
+    sim::SlotEngineConfig& engine, const sim::EncounterIndex* encounters,
+    const Run& run) {
   // The tracker is chained in front of any on_reception hook the config
   // already carries.
   std::optional<sim::EncounterTracker> tracker;
@@ -239,10 +256,7 @@ template <typename Run>
     };
   }
   const auto result = run(engine);
-  Outcome outcome;
-  outcome.complete = result.complete;
-  outcome.completion = static_cast<double>(result.completion_slot);
-  outcome.robustness = result.robustness;
+  TrialOutcome outcome = slotted_outcome(result);
   if (tracker.has_value()) {
     outcome.encounters = tracker->report();
     outcome.energy = sim::total_activity(result.activity).energy();
@@ -258,11 +272,8 @@ template <typename Run>
 template <typename Stats, typename Config, typename RunOne>
 [[nodiscard]] Stats run_trials(const Config& config, Clock::time_point start,
                                const RunOne& run_one) {
-  constexpr bool kAsync = std::is_same_v<Stats, AsyncTrialStats>;
   const util::SeedSequence seeds(config.seed);
-  Stats stats;
-  stats.trials = config.trials;
-  stats.threads_used = resolve_threads(config.threads, config.trials);
+  const std::size_t threads = resolve_threads(config.threads, config.trials);
 
   // Prepared serially so per_trial hooks keep their single-threaded
   // contract.
@@ -274,33 +285,14 @@ template <typename Stats, typename Config, typename RunOne>
     if (config.per_trial) config.per_trial(t, engines.back());
   }
 
-  std::vector<Outcome> outcomes(config.trials);
-  dispatch_trials(config.trials, stats.threads_used, [&](std::size_t t) {
+  std::vector<TrialOutcome> outcomes(config.trials);
+  dispatch_trials(config.trials, threads, [&](std::size_t t) {
     outcomes[t] = run_one(engines[t]);
   });
 
-  util::Samples* const completion = [&stats] {
-    if constexpr (kAsync) {
-      return &stats.completion_after_ts;
-    } else {
-      return &stats.completion_slots;
-    }
-  }();
-  completion->reserve(config.trials);
-  for (const Outcome& outcome : outcomes) {
-    fold_robustness(stats.robustness, outcome.robustness);
-    if (outcome.encounters.has_value()) {
-      fold_encounters(stats.encounters, *outcome.encounters, outcome.energy);
-    }
-    if (!outcome.complete) continue;
-    ++stats.completed;
-    completion->add(outcome.completion);
-    if constexpr (kAsync) stats.max_full_frames.add(outcome.max_frames);
-  }
-  stats.elapsed_seconds =
-      std::chrono::duration<double>(Clock::now() - start).count();
-  log_trial_run(make_run_record(stats, kAsync, *completion));
-  return stats;
+  return reduce_trials<Stats>(
+      outcomes, std::chrono::duration<double>(Clock::now() - start).count(),
+      threads);
 }
 
 }  // namespace
@@ -348,7 +340,7 @@ SyncTrialStats run_sync_trials(const net::Network& network,
         if (kernel == nullptr) {
           kernel = std::make_unique<sim::SoaSlotKernel>(network);
         }
-        Outcome outcome = run_slotted_trial(
+        TrialOutcome outcome = run_slotted_trial(
             engine, config.encounters,
             [&](const sim::SlotEngineConfig& cfg) {
               return kernel->run(table, cfg);
@@ -365,7 +357,7 @@ AsyncTrialStats run_async_trials(const net::Network& network,
   return run_trials<AsyncTrialStats>(
       config, Clock::now(), [&](const sim::AsyncEngineConfig& engine) {
         const auto result = sim::run_async_engine(network, factory, engine);
-        Outcome outcome;
+        TrialOutcome outcome;
         outcome.complete = result.complete;
         outcome.robustness = result.robustness;
         if (result.complete) {

@@ -10,6 +10,8 @@
 #pragma once
 
 #include <functional>
+#include <optional>
+#include <vector>
 
 #include "core/policy_spec.hpp"
 #include "net/network.hpp"
@@ -27,9 +29,9 @@ namespace m2hew::runner {
 void set_default_trial_threads(std::size_t threads) noexcept;
 [[nodiscard]] std::size_t default_trial_threads() noexcept;
 
-/// Cumulative trial-layer activity of this process, summed over every
-/// run_sync_trials / run_async_trials call. Benches and tools print this
-/// once at the end so every report carries its own throughput.
+/// Cumulative trial-layer activity over a set of trial runs. Benches and
+/// tools print the process totals once at the end so every report carries
+/// its own throughput.
 struct TrialThroughput {
   std::size_t runs = 0;
   std::size_t trials = 0;
@@ -41,7 +43,6 @@ struct TrialThroughput {
                : static_cast<double>(trials) / busy_seconds;
   }
 };
-[[nodiscard]] TrialThroughput trial_throughput_totals() noexcept;
 
 /// Robustness aggregates over faulted trials, shared by every trial-stats
 /// type. Populated only from trials whose engine config carried a fault
@@ -171,6 +172,14 @@ struct TrialRunRecord {
 /// Snapshot of every trial run executed by this process so far.
 [[nodiscard]] std::vector<TrialRunRecord> trial_run_log();
 
+/// Sums runs, busy time being the sum of their wall-clock durations.
+[[nodiscard]] TrialThroughput throughput_of(
+    const std::vector<TrialRunRecord>& runs) noexcept;
+
+/// throughput_of(trial_run_log()): every run_*_trials call of this process
+/// and every sharded sweep point reduced in it.
+[[nodiscard]] TrialThroughput trial_throughput_totals();
+
 /// What every trial aggregate carries, whatever the engine.
 struct TrialStatsCommon {
   std::size_t trials = 0;
@@ -278,28 +287,48 @@ using MultiRadioTrialConfig = TrialConfig<sim::MultiRadioEngineConfig>;
     const net::Network& network, const sim::MultiRadioPolicyFactory& factory,
     const MultiRadioTrialConfig& config);
 
-// --- Reduction building blocks shared with the streaming path ----------
+// --- One trial outcome and one fold ------------------------------------
 //
-// The sweep service (src/service/) reduces worker-streamed per-trial
-// records through runner/streaming.hpp, which reuses exactly these hooks;
-// keeping them here is what makes "daemon-sharded == batch, bit-identical"
-// a structural property rather than a test-enforced coincidence.
+// Every runner reduces per-trial TrialOutcomes through one fold, in trial
+// order. The sweep service's sharded path (src/service/) decodes
+// worker-streamed outcomes into the same type (runner/streaming.hpp) and
+// ends in the same fold, which makes "daemon-sharded == batch,
+// bit-identical" a structural property rather than a test-enforced
+// coincidence.
 
-/// Folds one trial's robustness report into the aggregate. Call in trial
-/// order: the retained Samples preserve insertion order.
-void fold_robustness(RobustnessStats& aggregate,
-                     const sim::RobustnessReport& report);
+/// One trial's result, reduced to what the aggregate keeps.
+struct TrialOutcome {
+  bool complete = false;
+  /// Completion slot (slotted) or completion time after T_s (async).
+  double completion = 0.0;
+  /// Async only: max over nodes of full frames since T_s.
+  double max_frames = 0.0;
+  sim::RobustnessReport robustness;
+  /// Set only when the trial tracked contacts, with its radio energy.
+  std::optional<sim::EncounterReport> encounters;
+  double energy = 0.0;
+};
 
-/// Folds one trial's encounter report (plus the trial's total radio
-/// energy under the default costs) into the aggregate, in trial order.
-void fold_encounters(EncounterStats& aggregate,
-                     const sim::EncounterReport& report, double trial_energy);
+/// The outcome of one slotted trial (slot engine, multi-radio engine or
+/// SoA kernel result), before any contact tracking is attached.
+template <typename SlottedResult>
+[[nodiscard]] TrialOutcome slotted_outcome(const SlottedResult& result) {
+  TrialOutcome outcome;
+  outcome.complete = result.complete;
+  outcome.completion = static_cast<double>(result.completion_slot);
+  outcome.robustness = result.robustness;
+  return outcome;
+}
+
+/// Folds slotted outcomes, given in trial order, into the aggregate, stamps
+/// the wall-clock duration and worker count, and appends the run record to
+/// the process run log: the last step of run_sync_trials and of a sharded
+/// sweep point.
+[[nodiscard]] SyncTrialStats reduce_sync_trials(
+    const std::vector<TrialOutcome>& outcomes, double elapsed_seconds,
+    std::size_t threads);
 
 /// Builds the run-log entry for a finished slotted aggregate.
 [[nodiscard]] TrialRunRecord make_sync_run_record(const SyncTrialStats& stats);
-
-/// Appends a record to the process-wide run log and throughput totals —
-/// so daemon-sharded runs surface in bench JSON exactly like batch runs.
-void log_trial_run(const TrialRunRecord& record);
 
 }  // namespace m2hew::runner

@@ -78,15 +78,11 @@ void write_sweep_artifact(std::ostream& out, const SweepSpec& spec,
   // run log, which may hold earlier jobs' runs in a long-lived daemon.
   std::vector<runner::TrialRunRecord> runs;
   runs.reserve(result.points.size());
-  runner::TrialThroughput throughput;
   for (const SweepPointResult& point : result.points) {
     runs.push_back(runner::make_sync_run_record(point.stats));
-    ++throughput.runs;
-    throughput.trials += point.stats.trials;
-    throughput.busy_seconds += point.stats.elapsed_seconds;
   }
-  runner::write_bench_json_doc(out, spec.name, params, runs, throughput,
-                               result.workers);
+  runner::write_bench_json_doc(out, spec.name, params, runs,
+                               runner::throughput_of(runs), result.workers);
 }
 
 std::string sweep_artifact_json(const SweepSpec& spec,

@@ -11,12 +11,14 @@
 #include <functional>
 #include <optional>
 #include <string_view>
+#include <utility>
 
 #include "core/policy_spec.hpp"
 #include "service/daemon.hpp"
 #include "runner/streaming.hpp"
 #include "sim/slot_engine.hpp"
 #include "sim/soa_kernel.hpp"
+#include "util/check.hpp"
 #include "util/ipc.hpp"
 #include "util/log.hpp"
 #include "util/rng.hpp"
@@ -32,15 +34,16 @@ using Clock = std::chrono::steady_clock;
 }
 
 /// Runs the trials in `indices` serially — engine seed derive(root, t) for
-/// trial t, exactly as the batch runner seeds them — and emits one wire
-/// record each. Shared by the worker children and the parent's
-/// crash-recovery path, so both produce identical records.
+/// trial t, exactly as the batch runner seeds them — and emits each
+/// (t, outcome) through runner::slotted_outcome, as the batch runner builds
+/// them. Shared by the worker children and the parent's crash-recovery
+/// path, so both produce identical outcomes.
 void run_trial_subset(
     const net::Network& network, const SweepSpec& spec,
     const sim::SoaPolicyTable* table,
     const sim::SlotEngineConfig& engine_base,
     const std::vector<std::size_t>& indices,
-    const std::function<void(const runner::TrialOutcomeRecord&)>& emit) {
+    const std::function<void(std::size_t, runner::TrialOutcome)>& emit) {
   const util::SeedSequence seeds(spec.seed);
   std::optional<sim::SoaSlotKernel> kernel;
   sim::SyncPolicyFactory factory;
@@ -52,14 +55,10 @@ void run_trial_subset(
   for (const std::size_t t : indices) {
     sim::SlotEngineConfig engine = engine_base;
     engine.seed = seeds.derive(t);
-    const auto record = [t](const auto& result) {
-      return runner::make_outcome_record(t, result.complete,
-                                         result.completion_slot,
-                                         result.robustness);
-    };
-    emit(kernel.has_value()
-             ? record(kernel->run(*table, engine))
-             : record(sim::run_slot_engine(network, factory, engine)));
+    emit(t, kernel.has_value()
+                ? runner::slotted_outcome(kernel->run(*table, engine))
+                : runner::slotted_outcome(
+                      sim::run_slot_engine(network, factory, engine)));
   }
 }
 
@@ -92,7 +91,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
     const sim::SlotEngineConfig& engine_base, std::size_t workers,
     runner::SyncTrialStats& out, std::string* error) {
   const auto start = Clock::now();
-  runner::StreamingSyncReducer reducer(spec.trials);
+  std::vector<std::optional<runner::TrialOutcome>> slots(spec.trials);
 
   std::vector<util::WorkerProcess> procs;
   procs.reserve(workers);
@@ -107,10 +106,10 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
       bool pipe_ok = true;
       std::size_t emitted = 0;
       run_trial_subset(network, spec, table, engine_base, mine,
-                       [&](const runner::TrialOutcomeRecord& record) {
+                       [&](std::size_t t, const runner::TrialOutcome& outcome) {
                          if (!pipe_ok) return;
                          const std::string line =
-                             runner::encode_outcome_record(record) + "\n";
+                             runner::encode_outcome(t, outcome) + "\n";
                          pipe_ok = util::write_all(write_fd, line);
                          if (!pipe_ok) return;
                          ++emitted;
@@ -128,10 +127,7 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
   util::drain_workers(
       procs,
       [&](std::size_t, std::string_view line) {
-        if (const auto record = runner::decode_outcome_record(line)) {
-          reducer.offer(*record);
-          return;
-        }
+        if (runner::place_outcome(line, slots)) return;
         if (runner::decode_end_marker(line).has_value()) {
           ++end_markers;
           return;
@@ -139,7 +135,11 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
         ++malformed;
       },
       [] { return shutdown_requested(); });
-  if (shutdown_requested() && !reducer.all_received()) {
+  std::vector<std::size_t> missing;
+  for (std::size_t t = 0; t < slots.size(); ++t) {
+    if (!slots[t].has_value()) missing.push_back(t);
+  }
+  if (shutdown_requested() && !missing.empty()) {
     // Shutdown landed mid-point: the workers were SIGTERMed and drained,
     // but the point is incomplete. Do NOT fall through to the
     // missing-trials recovery — that would re-run the remainder of an
@@ -153,18 +153,23 @@ void maybe_kill_for_test(std::size_t shard, std::size_t emitted,
     return false;
   }
 
-  if (!reducer.all_received()) {
-    const std::vector<std::size_t> missing = reducer.missing_trials();
+  if (!missing.empty()) {
     M2HEW_LOG_WARN(
         "sweep: %zu of %zu worker(s) died mid-shard; re-running %zu missing "
         "trial(s) in-process",
         workers - end_markers, workers, missing.size());
     run_trial_subset(network, spec, table, engine_base, missing,
-                     [&](const runner::TrialOutcomeRecord& record) {
-                       reducer.offer(record);
+                     [&](std::size_t t, runner::TrialOutcome outcome) {
+                       slots[t] = std::move(outcome);
                      });
   }
-  out = reducer.finish(seconds_since(start), workers);
+  std::vector<runner::TrialOutcome> outcomes;
+  outcomes.reserve(slots.size());
+  for (std::optional<runner::TrialOutcome>& slot : slots) {
+    M2HEW_CHECK_MSG(slot.has_value(), "sharded point left a trial unrun");
+    outcomes.push_back(std::move(*slot));
+  }
+  out = runner::reduce_sync_trials(outcomes, seconds_since(start), workers);
   return true;
 }
 

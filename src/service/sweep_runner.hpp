@@ -6,19 +6,18 @@
 //                  what tools/m2hew_experiment does.
 //   workers  > 1   sharded — per sweep point, `workers` forked processes
 //                  each run the trial subset {t : t ≡ w (mod workers)}
-//                  serially and stream one wire record per trial back;
-//                  the parent folds them through a StreamingSyncReducer.
+//                  serially and stream one wire line per trial back; the
+//                  parent places each decoded runner::TrialOutcome at its
+//                  trial index (runner/streaming.hpp).
 //
-// Bit-identity holds because trial t's engine seed is derive(root, t) in
-// both paths, the per-trial simulation is the same code, and the reducer
-// folds records in trial order through the same fold_robustness /
-// Samples::add calls as the batch reduction (pinned by
-// sweep_service_test). Wall-clock fields (elapsed_seconds, threads_used)
-// are the only difference.
+// Both paths end in runner::reduce_sync_trials over the outcomes in trial
+// order, and trial t's engine seed is derive(root, t) in both, so the
+// aggregates are bit-identical (pinned by sweep_service_test). Wall-clock
+// fields (elapsed_seconds, threads_used) are the only difference.
 //
-// A worker that dies without its end-of-shard marker (crash, SIGKILL) is
-// detected at pipe EOF; the parent re-runs exactly the missing trials
-// in-process and the sweep still completes with identical results.
+// A worker that dies without its end-of-shard marker (crash, SIGKILL)
+// leaves its remaining slots empty; the parent re-runs exactly those
+// trials in-process and the sweep still completes with identical results.
 #pragma once
 
 #include <cstddef>

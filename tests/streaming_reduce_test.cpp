@@ -1,6 +1,6 @@
-// Streaming reduction and worker wire format (runner/streaming.hpp):
-// hexfloat codec exactness, protocol strictness, and order-independence of
-// the reorder-buffer fold.
+// The sharded path's wire format and fold (runner/streaming.hpp): hexfloat
+// codec exactness, the pinned R line, protocol strictness, placement by
+// trial index, and reduce_sync_trials against run_sync_trials.
 #include "runner/streaming.hpp"
 
 #include <gtest/gtest.h>
@@ -11,95 +11,110 @@
 #include <random>
 #include <vector>
 
+#include "core/policy_spec.hpp"
+#include "runner/scenario.hpp"
+#include "sim/soa_kernel.hpp"
+#include "util/rng.hpp"
+
 namespace m2hew::runner {
 namespace {
 
-[[nodiscard]] TrialOutcomeRecord sample_record(std::size_t trial) {
-  TrialOutcomeRecord record;
-  record.trial = trial;
-  record.complete = trial % 3 != 0;
+[[nodiscard]] TrialOutcome sample_outcome(std::size_t trial) {
+  TrialOutcome outcome;
+  outcome.complete = trial % 3 != 0;
   // Deliberately awkward doubles: non-dyadic fractions and huge values
   // that would lose bits through a %g round-trip.
-  record.completion_slot = 0.1 + static_cast<double>(trial) * 1e15;
-  record.fault_enabled = trial % 2 == 0;
-  record.surviving_links = 10 + trial;
-  record.covered_surviving_links = 3 + trial;
-  record.ghost_entries = trial;
-  record.recovered_links = 2;
-  record.rediscovered_links = trial % 2;
-  record.mean_rediscovery = 1.0 / 3.0 + static_cast<double>(trial);
-  record.adversary = trial % 2 == 0;
-  record.real_entries = 20 + trial;
-  record.fake_entries = trial / 2;
-  record.isolated_fakes = trial / 3;
-  record.honest_isolated = trial % 4;
-  record.mean_isolation = 2.0 / 7.0 + static_cast<double>(trial);
-  return record;
+  outcome.completion = 0.1 + static_cast<double>(trial) * 1e15;
+  sim::RobustnessReport& r = outcome.robustness;
+  r.enabled = trial % 2 == 0;
+  r.surviving_links = 10 + trial;
+  r.covered_surviving_links = 3 + trial;
+  r.ghost_entries = trial;
+  r.recovered_links = 2;
+  r.rediscovered_links = trial % 2;
+  r.mean_rediscovery = 1.0 / 3.0 + static_cast<double>(trial);
+  r.adversary = trial % 2 == 0;
+  r.real_entries = 20 + trial;
+  r.fake_entries = trial / 2;
+  r.isolated_fakes = trial / 3;
+  r.honest_isolated = trial % 4;
+  r.mean_isolation = 2.0 / 7.0 + static_cast<double>(trial);
+  return outcome;
 }
 
-void expect_identical(const TrialOutcomeRecord& a,
-                      const TrialOutcomeRecord& b) {
-  EXPECT_EQ(a.trial, b.trial);
+[[nodiscard]] bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Every field the wire carries, bit-for-bit, not approximately: the wire
+// format exists to make the daemon's fold read exactly the doubles the
+// worker computed.
+void expect_identical(const TrialOutcome& a, const TrialOutcome& b) {
   EXPECT_EQ(a.complete, b.complete);
-  // Bit-for-bit, not approximately: the wire format exists to make the
-  // daemon's fold read exactly the doubles the worker computed.
-  EXPECT_EQ(std::memcmp(&a.completion_slot, &b.completion_slot,
-                        sizeof(double)),
-            0);
-  EXPECT_EQ(a.fault_enabled, b.fault_enabled);
-  EXPECT_EQ(a.surviving_links, b.surviving_links);
-  EXPECT_EQ(a.covered_surviving_links, b.covered_surviving_links);
-  EXPECT_EQ(a.ghost_entries, b.ghost_entries);
-  EXPECT_EQ(a.recovered_links, b.recovered_links);
-  EXPECT_EQ(a.rediscovered_links, b.rediscovered_links);
-  EXPECT_EQ(
-      std::memcmp(&a.mean_rediscovery, &b.mean_rediscovery, sizeof(double)),
-      0);
-  EXPECT_EQ(a.adversary, b.adversary);
-  EXPECT_EQ(a.real_entries, b.real_entries);
-  EXPECT_EQ(a.fake_entries, b.fake_entries);
-  EXPECT_EQ(a.isolated_fakes, b.isolated_fakes);
-  EXPECT_EQ(a.honest_isolated, b.honest_isolated);
-  EXPECT_EQ(
-      std::memcmp(&a.mean_isolation, &b.mean_isolation, sizeof(double)), 0);
+  EXPECT_TRUE(same_bits(a.completion, b.completion));
+  const sim::RobustnessReport& ra = a.robustness;
+  const sim::RobustnessReport& rb = b.robustness;
+  EXPECT_EQ(ra.enabled, rb.enabled);
+  EXPECT_EQ(ra.surviving_links, rb.surviving_links);
+  EXPECT_EQ(ra.covered_surviving_links, rb.covered_surviving_links);
+  EXPECT_EQ(ra.ghost_entries, rb.ghost_entries);
+  EXPECT_EQ(ra.recovered_links, rb.recovered_links);
+  EXPECT_EQ(ra.rediscovered_links, rb.rediscovered_links);
+  EXPECT_TRUE(same_bits(ra.mean_rediscovery, rb.mean_rediscovery));
+  EXPECT_EQ(ra.adversary, rb.adversary);
+  EXPECT_EQ(ra.real_entries, rb.real_entries);
+  EXPECT_EQ(ra.fake_entries, rb.fake_entries);
+  EXPECT_EQ(ra.isolated_fakes, rb.isolated_fakes);
+  EXPECT_EQ(ra.honest_isolated, rb.honest_isolated);
+  EXPECT_TRUE(same_bits(ra.mean_isolation, rb.mean_isolation));
 }
 
 TEST(WireFormat, RecordRoundTripsBitExactly) {
   for (std::size_t trial = 0; trial < 16; ++trial) {
-    const TrialOutcomeRecord record = sample_record(trial);
-    const auto decoded = decode_outcome_record(encode_outcome_record(record));
+    const TrialOutcome outcome = sample_outcome(trial);
+    const auto decoded = decode_outcome(encode_outcome(trial, outcome));
     ASSERT_TRUE(decoded.has_value());
-    expect_identical(record, *decoded);
+    EXPECT_EQ(decoded->first, trial);
+    expect_identical(outcome, decoded->second);
   }
 }
 
+// The exact line of one outcome with faults and adversaries on, as the
+// format has always written it. Round-trips alone cannot see a change of
+// field order or formatting, which would break workers and parents built
+// from different revisions.
+TEST(WireFormat, RecordLineIsPinned) {
+  EXPECT_EQ(encode_outcome(4, sample_outcome(4)),
+            "R 4 1 0x1.c6bf52634p+51 1 14 7 4 2 0 0x1.1555555555555p+2 "
+            "1 24 2 1 0 0x1.1249249249249p+2");
+}
+
 TEST(WireFormat, ExtremeDoublesRoundTrip) {
-  TrialOutcomeRecord record = sample_record(1);
+  TrialOutcome outcome = sample_outcome(1);
   for (const double value :
        {0.0, -0.0, 5e-324 /* min subnormal */, 1.7976931348623157e308,
         std::nextafter(1.0, 2.0)}) {
-    record.completion_slot = value;
-    record.mean_rediscovery = value;
-    const auto decoded = decode_outcome_record(encode_outcome_record(record));
+    outcome.completion = value;
+    outcome.robustness.mean_rediscovery = value;
+    const auto decoded = decode_outcome(encode_outcome(1, outcome));
     ASSERT_TRUE(decoded.has_value());
-    expect_identical(record, *decoded);
+    expect_identical(outcome, decoded->second);
   }
 }
 
 TEST(WireFormat, RejectsMalformedLines) {
-  const std::string good = encode_outcome_record(sample_record(4));
-  EXPECT_TRUE(decode_outcome_record(good).has_value());
-  EXPECT_FALSE(decode_outcome_record("").has_value());
-  EXPECT_FALSE(decode_outcome_record("R").has_value());
-  EXPECT_FALSE(decode_outcome_record("X " + good.substr(2)).has_value());
-  EXPECT_FALSE(decode_outcome_record(good + " junk").has_value());
+  const std::string good = encode_outcome(4, sample_outcome(4));
+  EXPECT_TRUE(decode_outcome(good).has_value());
+  EXPECT_FALSE(decode_outcome("").has_value());
+  EXPECT_FALSE(decode_outcome("R").has_value());
+  EXPECT_FALSE(decode_outcome("X " + good.substr(2)).has_value());
+  EXPECT_FALSE(decode_outcome(good + " junk").has_value());
   // A missing field is malformed. (Merely truncating characters off a
   // trailing hexfloat is NOT — it parses as a different valid double —
   // which is exactly why drain_workers drops partial lines at EOF before
   // they ever reach the decoder.)
   EXPECT_FALSE(
-      decode_outcome_record(good.substr(0, good.find_last_of(' ')))
-          .has_value());
+      decode_outcome(good.substr(0, good.find_last_of(' '))).has_value());
   // Booleans must be 0/1, not arbitrary ints — all three of them
   // (complete, fault_enabled, adversary; whitespace-split token indices
   // 2, 4 and 11 of the R line).
@@ -119,7 +134,7 @@ TEST(WireFormat, RejectsMalformedLines) {
       if (i > 0) corrupted += ' ';
       corrupted += tokens[i];
     }
-    EXPECT_FALSE(decode_outcome_record(corrupted).has_value())
+    EXPECT_FALSE(decode_outcome(corrupted).has_value())
         << "token " << token << ": " << corrupted;
   }
 }
@@ -134,99 +149,144 @@ TEST(WireFormat, EndMarkerRoundTripsAndRejects) {
   EXPECT_FALSE(decode_end_marker("R 3 17").has_value());
 }
 
-[[nodiscard]] SyncTrialStats reduce_in_order(
-    const std::vector<TrialOutcomeRecord>& records) {
-  StreamingSyncReducer reducer(records.size());
-  std::vector<TrialOutcomeRecord> sorted = records;
-  std::sort(sorted.begin(), sorted.end(),
-            [](const auto& a, const auto& b) { return a.trial < b.trial; });
-  for (const auto& record : sorted) EXPECT_TRUE(reducer.offer(record));
-  return reducer.finish(0.0, 1);
+void expect_same_samples(const util::Samples& a, const util::Samples& b) {
+  ASSERT_EQ(a.count(), b.count());
+  for (std::size_t i = 0; i < a.count(); ++i) {
+    EXPECT_TRUE(same_bits(a.values()[i], b.values()[i])) << "sample " << i;
+  }
 }
 
 void expect_same_aggregate(const SyncTrialStats& a, const SyncTrialStats& b) {
   EXPECT_EQ(a.trials, b.trials);
   EXPECT_EQ(a.completed, b.completed);
-  ASSERT_EQ(a.completion_slots.count(), b.completion_slots.count());
-  const auto sa = a.completion_slots.summarize();
-  const auto sb = b.completion_slots.summarize();
-  EXPECT_EQ(sa.mean, sb.mean);  // bit equality: same values, same order
-  EXPECT_EQ(sa.p95, sb.p95);
-  EXPECT_EQ(a.robustness.fault_trials, b.robustness.fault_trials);
-  EXPECT_EQ(a.robustness.surviving_recall.summarize().mean,
-            b.robustness.surviving_recall.summarize().mean);
-  EXPECT_EQ(a.robustness.ghost_entries.summarize().mean,
-            b.robustness.ghost_entries.summarize().mean);
-  EXPECT_EQ(a.robustness.recovered_links, b.robustness.recovered_links);
-  EXPECT_EQ(a.robustness.rediscovered_links,
-            b.robustness.rediscovered_links);
+  expect_same_samples(a.completion_slots, b.completion_slots);
+  const RobustnessStats& ra = a.robustness;
+  const RobustnessStats& rb = b.robustness;
+  EXPECT_EQ(ra.fault_trials, rb.fault_trials);
+  expect_same_samples(ra.surviving_recall, rb.surviving_recall);
+  expect_same_samples(ra.ghost_entries, rb.ghost_entries);
+  expect_same_samples(ra.rediscovery_times, rb.rediscovery_times);
+  EXPECT_EQ(ra.recovered_links, rb.recovered_links);
+  EXPECT_EQ(ra.rediscovered_links, rb.rediscovered_links);
+  EXPECT_EQ(ra.adversary_trials, rb.adversary_trials);
+  expect_same_samples(ra.precision_under_attack, rb.precision_under_attack);
+  expect_same_samples(ra.isolation_times, rb.isolation_times);
+  EXPECT_EQ(ra.fake_entries, rb.fake_entries);
+  EXPECT_EQ(ra.isolated_fakes, rb.isolated_fakes);
+  EXPECT_EQ(ra.honest_isolated, rb.honest_isolated);
 }
 
-TEST(StreamingSyncReducer, ArrivalOrderDoesNotMatter) {
-  constexpr std::size_t kTrials = 64;
-  std::vector<TrialOutcomeRecord> records;
-  records.reserve(kTrials);
-  for (std::size_t t = 0; t < kTrials; ++t) {
-    records.push_back(sample_record(t));
+[[nodiscard]] std::vector<std::optional<TrialOutcome>> place_all(
+    const std::vector<std::string>& lines, std::size_t trials) {
+  std::vector<std::optional<TrialOutcome>> slots(trials);
+  for (const std::string& line : lines) {
+    EXPECT_TRUE(place_outcome(line, slots));
   }
-  const SyncTrialStats in_order = reduce_in_order(records);
+  return slots;
+}
+
+[[nodiscard]] std::vector<TrialOutcome> unwrap(
+    const std::vector<std::optional<TrialOutcome>>& slots) {
+  std::vector<TrialOutcome> outcomes;
+  for (const auto& slot : slots) {
+    EXPECT_TRUE(slot.has_value());
+    if (slot.has_value()) outcomes.push_back(*slot);
+  }
+  return outcomes;
+}
+
+TEST(OutcomePlacement, ArrivalOrderDoesNotMatter) {
+  constexpr std::size_t kTrials = 64;
+  std::vector<TrialOutcome> in_order;
+  std::vector<std::string> lines;
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    in_order.push_back(sample_outcome(t));
+    lines.push_back(encode_outcome(t, in_order.back()));
+  }
+  const SyncTrialStats expected = reduce_sync_trials(in_order, 0.0, 1);
 
   std::mt19937 shuffle_rng(7);
   for (int round = 0; round < 5; ++round) {
-    std::shuffle(records.begin(), records.end(), shuffle_rng);
-    StreamingSyncReducer reducer(kTrials);
-    for (const auto& record : records) {
-      EXPECT_TRUE(reducer.offer(record));
-    }
-    EXPECT_TRUE(reducer.all_received());
-    EXPECT_EQ(reducer.buffered(), 0u);
-    expect_same_aggregate(reducer.finish(0.0, 4), in_order);
+    std::shuffle(lines.begin(), lines.end(), shuffle_rng);
+    expect_same_aggregate(
+        reduce_sync_trials(unwrap(place_all(lines, kTrials)), 0.0, 4),
+        expected);
   }
 }
 
-TEST(StreamingSyncReducer, RejectsDuplicatesAndOutOfRange) {
-  StreamingSyncReducer reducer(4);
-  EXPECT_TRUE(reducer.offer(sample_record(2)));
-  EXPECT_FALSE(reducer.offer(sample_record(2)));  // duplicate
-  EXPECT_FALSE(reducer.offer(sample_record(9)));  // out of range
-  EXPECT_EQ(reducer.received(), 1u);
+TEST(OutcomePlacement, RejectsDuplicatesAndOutOfRange) {
+  std::vector<std::optional<TrialOutcome>> slots(4);
+  ASSERT_TRUE(place_outcome(encode_outcome(2, sample_outcome(2)), slots));
+  ASSERT_TRUE(slots[2].has_value());
+  // A duplicate index is consumed, and the first outcome stays.
+  EXPECT_TRUE(place_outcome(encode_outcome(2, sample_outcome(5)), slots));
+  expect_identical(*slots[2], sample_outcome(2));
+  // So is an index past the run; no slot moves.
+  EXPECT_TRUE(place_outcome(encode_outcome(9, sample_outcome(9)), slots));
+  ASSERT_EQ(slots.size(), 4u);
+  for (const std::size_t t : {0u, 1u, 3u}) EXPECT_FALSE(slots[t].has_value());
 }
 
-TEST(StreamingSyncReducer, ReportsMissingTrials) {
-  StreamingSyncReducer reducer(5);
-  EXPECT_TRUE(reducer.offer(sample_record(1)));
-  EXPECT_TRUE(reducer.offer(sample_record(4)));
-  EXPECT_FALSE(reducer.all_received());
-  const std::vector<std::size_t> missing = reducer.missing_trials();
-  ASSERT_EQ(missing.size(), 3u);
-  EXPECT_EQ(missing[0], 0u);
-  EXPECT_EQ(missing[1], 2u);
-  EXPECT_EQ(missing[2], 3u);
+TEST(OutcomePlacement, OtherLinesAreNotConsumed) {
+  std::vector<std::optional<TrialOutcome>> slots(4);
+  const std::string good = encode_outcome(1, sample_outcome(1));
+  EXPECT_FALSE(place_outcome(encode_end_marker(0, 2), slots));
+  EXPECT_FALSE(place_outcome(good + " junk", slots));
+  EXPECT_FALSE(place_outcome("", slots));
+  for (const auto& slot : slots) EXPECT_FALSE(slot.has_value());
 }
 
-TEST(StreamingSyncReducer, ReorderWindowStaysSmallForRoundRobinShards) {
-  // Workers w = t mod W interleave; worst-case buffering is about W
-  // records, never O(trials).
-  constexpr std::size_t kTrials = 1000;
-  constexpr std::size_t kWorkers = 4;
-  StreamingSyncReducer reducer(kTrials);
-  std::size_t worst = 0;
-  // Simulate round-robin arrival with worker w one step "ahead" of w+1.
-  std::vector<std::size_t> cursor(kWorkers);
-  for (std::size_t w = 0; w < kWorkers; ++w) cursor[w] = w;
-  std::size_t remaining = kTrials;
-  std::size_t turn = kWorkers - 1;  // start with the furthest-behind shard last
-  while (remaining > 0) {
-    turn = (turn + 1) % kWorkers;
-    if (cursor[turn] >= kTrials) continue;
-    EXPECT_TRUE(reducer.offer(sample_record(cursor[turn])));
-    cursor[turn] += kWorkers;
-    --remaining;
-    worst = std::max(worst, reducer.buffered());
+// The fold the sharded path ends in, fed the per-trial outcomes that
+// run_sync_trials computes itself (trial t seeded derive(seed, t), one
+// slotted_outcome each), gives its stats bit for bit, on both kernels.
+void expect_reduce_matches_run_sync_trials(SyncKernel kernel_choice) {
+  ScenarioConfig scenario;
+  scenario.topology = TopologyKind::kLine;
+  scenario.n = 8;
+  scenario.universe = 6;
+  scenario.set_size = 3;
+  const net::Network network = build_scenario(scenario, 11);
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(4);
+
+  SyncTrialConfig config;
+  config.trials = 12;
+  config.seed = 29;
+  config.threads = 2;
+  config.kernel = kernel_choice;
+  config.engine.max_slots = 4000;
+  config.engine.faults.churn = {0.4, 50, 2000, 50, 500, true};
+  config.engine.faults.burst_loss = {true, 0.05, 0.2, 0.02, 0.8};
+  config.engine.faults.adversary.fraction = 0.2;
+  config.engine.faults.adversary.attack = sim::AdversaryAttack::kMix;
+  config.engine.faults.adversary.byzantine_tx = 0.6;
+  const SyncTrialStats batch = run_sync_trials(network, spec, config);
+  ASSERT_GT(batch.completed, 0u);
+  ASSERT_GT(batch.robustness.rediscovery_times.count(), 0u);
+  ASSERT_TRUE(batch.robustness.adversarial());
+
+  const util::SeedSequence seeds(config.seed);
+  const sim::SyncPolicyFactory factory = core::make_policy_factory(spec);
+  const sim::SoaPolicyTable table =
+      core::build_soa_policy_table(network, spec);
+  sim::SoaSlotKernel kernel(network);
+  std::vector<TrialOutcome> outcomes;
+  for (std::size_t t = 0; t < config.trials; ++t) {
+    sim::SlotEngineConfig engine = config.engine;
+    engine.seed = seeds.derive(t);
+    outcomes.push_back(
+        config.kernel == SyncKernel::kSoa
+            ? slotted_outcome(kernel.run(table, engine))
+            : slotted_outcome(sim::run_slot_engine(network, factory, engine)));
   }
-  EXPECT_TRUE(reducer.all_received());
-  EXPECT_LE(worst, kWorkers);
-  (void)reducer.finish(0.0, kWorkers);
+  expect_same_aggregate(reduce_sync_trials(outcomes, 0.0, 1), batch);
+}
+
+TEST(ReduceSyncTrials, MatchesRunSyncTrialsOnSlotEngine) {
+  expect_reduce_matches_run_sync_trials(SyncKernel::kEngine);
+}
+
+TEST(ReduceSyncTrials, MatchesRunSyncTrialsOnSoaKernel) {
+  expect_reduce_matches_run_sync_trials(SyncKernel::kSoa);
 }
 
 }  // namespace

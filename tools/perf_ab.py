@@ -17,8 +17,18 @@ For every end-to-end metric of BENCHMARK.json (per-layer with --trace 1)
 it prints, per seed, the median change/parent ratio over the pairs with a
 bootstrap 95 % interval, how many pairs moved in the metric's better
 direction, the parent's median and interquartile range, and the failed
-operation counts of both sides. Unless --no-record is given the result is
-appended to BENCH_perf_trajectory.json at the repository root.
+operation counts of both sides. Each end-to-end metric also gets a verdict
+against its BENCHMARK.json bound:
+
+    worse       the median ratio is past the bound in the worse direction
+                (above 1 + bound for lower-is-better, below 1 - bound for
+                higher-is-better);
+    unresolved  otherwise, if the parent's IQR/median exceeds the bound,
+                unless every change run beats every parent run;
+    ok          otherwise.
+
+Unless --no-record is given the result is appended to
+BENCH_perf_trajectory.json at the repository root.
 """
 
 import argparse
@@ -87,7 +97,20 @@ def bootstrap_median(ratios, rng):
             medians[int(0.975 * BOOTSTRAP_RESAMPLES) - 1])
 
 
-def summarize(pairs, directions, rng):
+def verdict(parent, change, summary, bound):
+    """ok / worse / unresolved of one metric's summary, as in the module
+    docstring."""
+    ratio = summary["median_ratio"]
+    lower = summary["better"] == "lower"
+    if (ratio > 1 + bound) if lower else (ratio < 1 - bound):
+        return "worse"
+    clean_win = (max(change) < min(parent)) if lower else (
+        min(change) > max(parent))
+    spread = summary["parent_iqr"] / abs(summary["parent_median"])
+    return "unresolved" if spread > bound and not clean_win else "ok"
+
+
+def summarize(pairs, directions, bounds, rng):
     """Per metric over (parent, change) result pairs of one seed."""
     out = {}
     for name, better in directions.items():
@@ -109,6 +132,10 @@ def summarize(pairs, directions, rng):
             "parent_iqr": q3 - q1,
             "change_median": statistics.median(change),
         }
+        if name in bounds:
+            out[name]["bound"] = bounds[name]
+            out[name]["verdict"] = verdict(parent, change, out[name],
+                                           bounds[name])
     return out
 
 
@@ -127,6 +154,7 @@ def main():
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     kind = "per_layer" if args.trace == "1" else "end_to_end"
     directions = {m["name"]: m["better"] for m in spec[kind]}
+    bounds = {m["name"]: m["bound"] for m in spec[kind] if "bound" in m}
     seconds = spec["run_seconds"]
     parent_sha = git("rev-parse", args.parent)
 
@@ -153,7 +181,7 @@ def main():
                       file=sys.stderr)
 
     rng = random.Random(0xAB)
-    per_seed = {str(seed): summarize(pairs, directions, rng)
+    per_seed = {str(seed): summarize(pairs, directions, bounds, rng)
                 for seed, pairs in results.items()}
 
     print(f"{args.workload}: change/parent over {args.rounds} pairs per seed "
@@ -161,7 +189,8 @@ def main():
     for seed, metrics in per_seed.items():
         print(f"  seed {seed}")
         for name, s in metrics.items():
-            print(f"    {name:32s} {s['median_ratio']:.3f} "
+            print(f"    {name:32s} {s.get('verdict', '-'):10s} "
+                  f"{s['median_ratio']:.3f} "
                   f"[{s['ci95'][0]:.3f}, {s['ci95'][1]:.3f}]  "
                   f"better {s['better_pairs']}/{s['pairs']}  "
                   f"parent {s['parent_median']:.4g} (IQR {s['parent_iqr']:.3g})"
