@@ -1,13 +1,10 @@
 // Shared helpers for the experiment bench binaries (DESIGN.md §4).
 //
-// Each bench binary has two parts:
-//   1. google-benchmark timed sections measuring simulator throughput on
-//      the experiment's workload (one engine run per iteration), and
-//   2. a post-run reproduction section that prints the paper-vs-measured
-//      table for the experiment and writes results/<exp>.csv.
+// Each bench binary is its reproduction section: it prints the
+// paper-vs-measured table for the experiment, writes results/<exp>.csv and
+// results/BENCH_<id>.json, and closes with a trial-throughput line. The
+// only flag is --threads=N; simulator speed is measured by perfbench/.
 #pragma once
-
-#include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -17,7 +14,6 @@
 #include <fstream>
 #include <initializer_list>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -32,22 +28,21 @@ namespace m2hew::benchx {
 /// are kept as strings; numeric parameters are formatted by the caller.
 using BenchParam = std::pair<const char*, std::string>;
 
-/// Strips --threads=N from argv (call *before* benchmark::Initialize so it
-/// is not reported as unrecognized) and installs it as the process-wide
-/// default for every trial config in the binary. 0 = all cores (also the
-/// default when the flag is absent), 1 = serial. Aggregate results are
-/// identical at any value — only wall-clock changes.
-inline void strip_threads_flag(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      runner::set_default_trial_threads(
-          static_cast<std::size_t>(std::strtoull(argv[i] + 10, nullptr, 10)));
-      continue;
-    }
-    argv[out++] = argv[i];
+/// Parses argv: --threads=N (N a non-negative integer) is the only flag.
+/// It installs N as the process-wide default for every trial config in
+/// the binary; 0 = all cores (also the default when the flag is absent),
+/// 1 = serial. Aggregate results are identical at any value, only
+/// wall-clock changes. Returns false on any other argument.
+[[nodiscard]] inline bool parse_bench_args(int argc, char** argv) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::strncmp(argv[i], "--threads=", 10) != 0) return false;
+    const char* value = argv[i] + 10;
+    char* end = nullptr;
+    const unsigned long long threads = std::strtoull(value, &end, 10);
+    if (*value < '0' || *value > '9' || *end != '\0') return false;
+    runner::set_default_trial_threads(static_cast<std::size_t>(threads));
   }
-  *argc = out;
+  return true;
 }
 
 /// One-line throughput report for a SyncTrialStats/AsyncTrialStats, so a
@@ -88,11 +83,6 @@ inline void print_trial_throughput() {
 /// Ratio formatter for "measured / bound" columns.
 [[nodiscard]] inline double ratio(double measured, double bound) {
   return bound == 0.0 ? 0.0 : measured / bound;
-}
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-[[nodiscard]] inline std::string json_escape(std::string_view text) {
-  return runner::json_escape(text);
 }
 
 /// Parameters registered while reproduce() runs — values that only exist
@@ -139,17 +129,18 @@ inline void write_bench_json(const char* bench_id,
   std::printf("[artifact] wrote %s\n", path.c_str());
 }
 
-/// Shared main for every bench binary: strips --threads, runs the
-/// google-benchmark timed sections, then the reproduction section, then
-/// prints the throughput line and emits results/BENCH_<id>.json. `params`
-/// are the scenario parameters embedded in the artifact.
+/// Shared main for every bench binary: parses --threads, runs the
+/// reproduction section, then prints the throughput line and emits
+/// results/BENCH_<id>.json. Any other argument prints a one-line usage
+/// message and exits 2 before a trial runs. `params` are the scenario
+/// parameters embedded in the artifact.
 inline int bench_main(int argc, char** argv, const char* bench_id,
                       void (*reproduce)(),
                       std::initializer_list<BenchParam> params = {}) {
-  strip_threads_flag(&argc, argv);
-  ::benchmark::Initialize(&argc, argv);
-  if (::benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  ::benchmark::RunSpecifiedBenchmarks();
+  if (!parse_bench_args(argc, argv)) {
+    std::fprintf(stderr, "usage: %s [--threads=N]\n", argv[0]);
+    return 2;
+  }
   reproduce();
   print_trial_throughput();
   write_bench_json(bench_id, params);

@@ -8,8 +8,6 @@
 // 3 with a large Δ_est). This bench measures both paths on the same
 // workload, checks they agree bit-for-bit, and passes iff the indexed path
 // sustains >= 2x the reference throughput.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
 #include "runner/report.hpp"
@@ -44,26 +42,6 @@ constexpr std::uint64_t kSlots = 300;      // fixed work per engine run
   engine.indexed_reception = indexed;
   return engine;
 }
-
-void BM_DenseReception(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const bool indexed = state.range(1) != 0;
-  const net::Network network = dense_network(n);
-  const auto factory = core::make_algorithm3(kDeltaEst);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine = dense_engine(indexed);
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(network, factory, engine);
-    benchmark::DoNotOptimize(result.state.reception_count());
-  }
-  state.counters["slots_per_s"] = benchmark::Counter(
-      static_cast<double>(kSlots), benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_DenseReception)
-    ->ArgNames({"n", "indexed"})
-    ->Args({256, 0})
-    ->Args({256, 1});
 
 void reproduce_table() {
   runner::print_banner(

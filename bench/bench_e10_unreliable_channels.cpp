@@ -6,8 +6,6 @@
 //
 // Reproduced series: loss q ∈ {0 … 0.5} for Algorithms 1, 3 and 4; check
 // mean discovery time × (1−q) stays ~constant.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <vector>
 
@@ -35,22 +33,6 @@ constexpr std::size_t kDeltaEst = 24;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_Alg3_Lossy(benchmark::State& state) {
-  const double loss = static_cast<double>(state.range(0)) / 100.0;
-  const net::Network network = workload(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 50'000'000;
-    engine.seed = seed++;
-    engine.loss_probability = loss;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Alg3_Lossy)->Arg(0)->Arg(30);
 
 void reproduce_table() {
   runner::print_banner(

@@ -4,8 +4,6 @@
 // the *directed* ground truth still completes, with latency comparable to
 // the symmetric baseline (per remaining link there is no structural
 // penalty — only fewer links to cover).
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
 #include "runner/report.hpp"
@@ -31,21 +29,6 @@ constexpr std::size_t kDeltaEst = 16;
   config.asymmetric_drop = drop;
   return config;
 }
-
-void BM_Asymmetric_Alg3(benchmark::State& state) {
-  const double drop = static_cast<double>(state.range(0)) / 100.0;
-  const net::Network network = runner::build_scenario(base_config(drop), 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Asymmetric_Alg3)->Arg(0)->Arg(50)->Arg(100);
 
 void reproduce_table() {
   runner::print_banner(

@@ -4,8 +4,6 @@
 // shrinks with the keep probability, and discovery time must track the
 // 1/ρ_effective law — the same mechanism as E7 but driven by propagation
 // rather than channel availability.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <vector>
 
@@ -35,21 +33,6 @@ constexpr std::size_t kDeltaEst = 16;
   config.prop_keep = keep;
   return config;
 }
-
-void BM_Propagation_Alg3(benchmark::State& state) {
-  const double keep = static_cast<double>(state.range(0)) / 100.0;
-  const net::Network network = runner::build_scenario(base_config(keep), 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Propagation_Alg3)->Arg(100)->Arg(50);
 
 void reproduce_table() {
   runner::print_banner(

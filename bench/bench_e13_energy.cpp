@@ -8,8 +8,6 @@
 // idle through foreign channels but still burns slots); Algorithm 4's lower
 // duty cycle (the extra 1/3 in its transmit probability) trades time for
 // energy efficiency per frame.
-#include <benchmark/benchmark.h>
-
 #include <map>
 #include <string_view>
 #include <vector>
@@ -76,21 +74,6 @@ struct EnergyStats {
   }
   return stats;
 }
-
-void BM_Energy_Alg3(benchmark::State& state) {
-  const net::Network network = workload(12, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 50'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(
-        sim::total_activity(result.activity).energy());
-  }
-}
-BENCHMARK(BM_Energy_Alg3);
 
 void reproduce_table() {
   runner::print_banner(

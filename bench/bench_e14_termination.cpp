@@ -8,8 +8,6 @@
 // stopped node; T of the order of the per-link coverage time (≈ the
 // theorem budget divided by ln(N²/ε)) restores completeness while still
 // halting the network.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -39,23 +37,6 @@ constexpr std::size_t kDeltaEst = 8;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_Termination_Alg3(benchmark::State& state) {
-  const auto threshold = static_cast<std::uint64_t>(state.range(0));
-  const net::Network network = workload(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 200'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network,
-        core::with_termination(core::make_algorithm3(kDeltaEst), threshold),
-        engine);
-    benchmark::DoNotOptimize(result.complete);
-  }
-}
-BENCHMARK(BM_Termination_Alg3)->Arg(64)->Arg(1024);
 
 void reproduce_table() {
   runner::print_banner(

@@ -3,8 +3,6 @@
 // Phase 2 re-runs the Algorithm-3 schedule with tables as payloads, so the
 // two-hop extension should cost roughly one more Theorem-3 budget: the
 // phase-2/phase-1 slot ratio stays O(1) across network sizes.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "core/two_hop.hpp"
 #include "runner/report.hpp"
@@ -29,21 +27,6 @@ constexpr std::size_t kDeltaEst = 8;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_TwoHop(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const net::Network network = workload(n, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result =
-        core::run_two_hop_discovery(network, kDeltaEst, engine);
-    benchmark::DoNotOptimize(result.complete);
-  }
-}
-BENCHMARK(BM_TwoHop)->Arg(8)->Arg(16);
 
 void reproduce_table() {
   runner::print_banner(

@@ -12,8 +12,6 @@
 // on dense cliques where Algorithm 2's sweep is already near-optimal —
 // collision detection is NOT a free win, matching the paper's choice to
 // analyze the weaker model.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 
 #include "bench_common.hpp"
@@ -49,21 +47,6 @@ using namespace m2hew;
   config.set_size = 4;
   return runner::build_scenario(config, 2);
 }
-
-void BM_Adaptive(benchmark::State& state) {
-  const net::Network network = clique_workload(
-      static_cast<net::NodeId>(state.range(0)));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 5'000'000;
-    engine.seed = seed++;
-    const auto result =
-        sim::run_slot_engine(network, core::make_adaptive(), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Adaptive)->Arg(8)->Arg(16);
 
 void run_row(const net::Network& network, const char* label,
              util::Table& table, util::CsvWriter& csv, bool& adaptive_ok) {

@@ -6,8 +6,6 @@
 // roughly with the probability both endpoints see the channel free —
 // discovery time should grow smoothly with duty cycle and remain complete
 // as long as some spectrum is free often enough.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -41,26 +39,6 @@ struct Deployment {
       std::vector<net::ChannelSet>(14, net::ChannelSet::full(kUniverse)));
   return {std::move(network), std::move(geo.positions)};
 }
-
-void BM_DynamicSpectrum(benchmark::State& state) {
-  const double duty = static_cast<double>(state.range(0)) / 100.0;
-  const Deployment dep = make_deployment(1);
-  util::Rng rng(2);
-  const auto field = net::DynamicPrimaryUserField::random(
-      kUniverse, 10, 1.0, 0.2, 0.4, 300, duty, rng);
-  const auto schedule = field.interference_for(dep.positions);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 5'000'000;
-    engine.seed = seed++;
-    engine.interference = schedule;
-    const auto result = sim::run_slot_engine(
-        dep.network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_DynamicSpectrum)->Arg(0)->Arg(50);
 
 void reproduce_table() {
   runner::print_banner(

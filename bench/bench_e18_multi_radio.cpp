@@ -7,8 +7,6 @@
 //   - R stripes progress simultaneously,
 // predicting a superlinear (up to R²-ish, until contention saturates)
 // latency reduction. This bench measures the speedup curve.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -37,21 +35,6 @@ constexpr std::size_t kDeltaEst = 12;
   config.set_size = 8;
   return runner::build_scenario(config, seed);
 }
-
-void BM_MultiRadio(benchmark::State& state) {
-  const auto radios = static_cast<unsigned>(state.range(0));
-  const net::Network network = workload(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::MultiRadioEngineConfig engine;
-    engine.max_slots = 5'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_multi_radio_engine(
-        network, core::make_multi_radio_alg3(radios, kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_MultiRadio)->Arg(1)->Arg(2)->Arg(4);
 
 void reproduce_table() {
   runner::print_banner(

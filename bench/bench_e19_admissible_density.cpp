@@ -4,8 +4,6 @@
 // We run the proof's construction on random drifting clocks and measure
 // the density actually achieved — showing how much of Theorem 9's headroom
 // (cf. E5: ~40–100×) comes from this combinatorial step alone.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <memory>
@@ -56,16 +54,6 @@ struct DensitySample {
   out.admissible = sim::verify_admissible_sequence(sigma, v, u, {v, u, w});
   return out;
 }
-
-void BM_AdmissibleConstruction(benchmark::State& state) {
-  const double delta = static_cast<double>(state.range(0)) / 100.0;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    const auto sample = sample_density(delta, seed++);
-    benchmark::DoNotOptimize(sample.density);
-  }
-}
-BENCHMARK(BM_AdmissibleConstruction)->Arg(0)->Arg(14);
 
 void reproduce_table() {
   runner::print_banner(

@@ -7,8 +7,6 @@
 //   (b) discovery slots vs Δ_est    — must grow ~log Δ_est (stage length)
 //   (c) measured slots vs theorem slot budget — measured ≤ bound, with the
 //       ε-quantile of the empirical distribution well under the bound.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -38,26 +36,6 @@ constexpr std::size_t kDeltaEst = 16;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_Alg1_DiscoverClique(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const net::Network network = clique_network(n, 1);
-  std::uint64_t seed = 1;
-  util::RunningStats slots;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result =
-        sim::run_slot_engine(network, core::make_algorithm1(kDeltaEst),
-                             engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-    slots.add(static_cast<double>(result.completion_slot));
-  }
-  state.counters["mean_slots"] = slots.mean();
-  state.counters["links"] = static_cast<double>(network.links().size());
-}
-BENCHMARK(BM_Alg1_DiscoverClique)->Arg(8)->Arg(16)->Arg(32)->Arg(64);
 
 void reproduce_table() {
   runner::print_banner(

@@ -8,8 +8,6 @@
 //   (a) sweep N at fixed |U|: deterministic time ∝ N, alg3 ~flat-ish;
 //   (b) sweep |U| at fixed N (available sets in a fixed pool):
 //       deterministic time ∝ |U|, alg3 flat. The product law in full.
-#include <benchmark/benchmark.h>
-
 #include <vector>
 
 #include "bench_common.hpp"
@@ -53,21 +51,6 @@ constexpr std::size_t kDeltaEst = 16;
   }
   return net::Network(pool_net.topology(), std::move(embedded));
 }
-
-void BM_Deterministic(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const net::Network network = pooled_workload(n, 32, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_deterministic_baseline(32), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Deterministic)->Arg(8)->Arg(32);
 
 void reproduce_table() {
   runner::print_banner(

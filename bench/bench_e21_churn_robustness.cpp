@@ -8,8 +8,6 @@
 // smoothly with churn probability and burst severity, surviving-neighbor
 // recall should stay near 1, and recovered nodes should be re-heard
 // (time-to-rediscovery) without any protocol changes.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <string>
 #include <utility>
@@ -70,22 +68,6 @@ struct Deployment {
   plan.burst_loss.loss_bad = loss_bad;
   return plan;
 }
-
-void BM_ChurnRobustness(benchmark::State& state) {
-  const double crash = static_cast<double>(state.range(0)) / 100.0;
-  const Deployment dep = make_deployment(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = kMaxSlots;
-    engine.seed = seed++;
-    engine.faults = churn_plan(crash);
-    const auto result = sim::run_slot_engine(
-        dep.network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_ChurnRobustness)->Arg(0)->Arg(40);
 
 struct Row {
   std::string label;

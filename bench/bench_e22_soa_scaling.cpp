@@ -19,8 +19,6 @@
 //
 // CI smoke caps the sweep with M2HEW_E22_MAX_N (e.g. 20000); without the
 // env var the full curve runs and regenerates results/BENCH_e22.json.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
@@ -71,29 +69,6 @@ constexpr double kMeanDegree = 6.0;
 [[nodiscard]] core::SyncPolicySpec spec() {
   return core::SyncPolicySpec::algorithm3(kDeltaEst);
 }
-
-// Timed section: fixed-slot kernel runs at a mid-size N (the full curve is
-// the reproduction section's job; benchmark timing stays CI-friendly).
-void BM_SoaKernelSlots(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const net::Network network = sparse_network("unit-disk", n, 22);
-  const sim::SoaPolicyTable table =
-      core::build_soa_policy_table(network, spec());
-  sim::SoaSlotKernel kernel(network);
-  sim::SlotEngineConfig config;
-  config.max_slots = 50;
-  config.stop_when_complete = false;
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    config.seed = seed++;
-    const auto result = kernel.run(table, config);
-    benchmark::DoNotOptimize(result.receptions);
-  }
-  state.counters["slots_per_s"] = benchmark::Counter(
-      static_cast<double>(config.max_slots),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_SoaKernelSlots)->ArgNames({"n"})->Arg(4096)->Arg(16384);
 
 void reproduce_table() {
   runner::print_banner(

@@ -5,35 +5,35 @@
 // answer repeated submissions from the artifact cache without re-running
 // anything. This bench puts numbers on both claims:
 //
-//   1. a trials/sec-vs-workers curve for the in-process sharded executor
-//      (service::run_sweep) at workers 1, 2, 4, 8. On a multi-core host
-//      this is a scaling curve; on a single core (CI) it isolates the
-//      fork/pipe/streaming overhead a worker costs, which is the number
-//      that must stay small for sharding to ever pay off. And
+//   1. the in-process sharded executor (service::run_sweep) on the base
+//      spec at workers 1, 2, 4, 8: one run record per sweep point and
+//      worker count in BENCH_e23_sweepd_throughput.json, and a verdict
+//      that every worker count's records equal the workers=1 records on
+//      every field but elapsed_seconds and threads. Its trials/sec curve
+//      is a scaling curve on a multi-core host; on a single core it
+//      isolates the fork/pipe/streaming overhead a worker costs. And
 //   2. end-to-end spool throughput through run_daemon(--once): J specs
 //      submitted cold (every job executes) and then warm (every job is a
-//      cache hit), reported as specs/sec for each worker count.
+//      cache hit), reported as specs/sec for each worker count. The jobs
+//      run in forked children, so they add no run records.
 //
-// Bit-identity of the sharded results is pinned by
-// tests/sweep_service_test.cpp; this binary only asserts the cheap
-// proxies (all jobs reach done/, warm submissions all hit) and reports
-// throughput.
-//
-// CI smoke caps the sweep with M2HEW_E23_MAX_WORKERS (e.g. 2); without
-// the env var the full curve runs and regenerates results/BENCH_e23.json.
-#include <benchmark/benchmark.h>
-
+// Bit-identity of the sharded results at the trial level is pinned by
+// tests/sweep_service_test.cpp. M2HEW_E23_MAX_WORKERS caps the worker
+// counts (e.g. 2 for a smoke run); without it the full curve runs and
+// regenerates results/BENCH_e23_sweepd_throughput.json.
 #include <stdlib.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "service/artifact_cache.hpp"
 #include "service/daemon.hpp"
 #include "service/sweep_runner.hpp"
 #include "service/sweep_spec.hpp"
@@ -105,48 +105,6 @@ constexpr std::size_t kJobs = 4;  // specs per daemon batch
       .count();
 }
 
-// Timed section 1: the sharded executor itself, one full sweep per
-// iteration. trials_per_s is the headline scaling number.
-void BM_ShardedSweep(benchmark::State& state) {
-  const auto workers = static_cast<std::size_t>(state.range(0));
-  const service::SweepSpec spec = make_spec(3);
-  const std::size_t trials_per_sweep = spec.trials * spec.sweep_values.size();
-  for (auto _ : state) {
-    service::SweepResult result;
-    std::string error;
-    if (!service::run_sweep(spec, workers, result, &error)) {
-      state.SkipWithError(error.c_str());
-      return;
-    }
-    benchmark::DoNotOptimize(result.points.data());
-  }
-  state.counters["trials_per_s"] = benchmark::Counter(
-      static_cast<double>(trials_per_sweep),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-BENCHMARK(BM_ShardedSweep)->ArgNames({"workers"})->Arg(1)->Arg(2)->Arg(4);
-
-// Timed section 2: the warm path — canonicalize, hash, probe the cache.
-// This is all a cache-hit submission costs besides spool bookkeeping.
-void BM_CacheProbe(benchmark::State& state) {
-  char tmpl[] = "/tmp/m2hew_e23_probe_XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
-    state.SkipWithError("mkdtemp failed");
-    return;
-  }
-  const service::ArtifactCache cache(std::string(tmpl) + "/cache");
-  const service::SweepSpec spec = make_spec(3);
-  if (!cache.store(service::scenario_hash_hex(spec), "{}\n")) {
-    state.SkipWithError("cache store failed");
-    return;
-  }
-  for (auto _ : state) {
-    const std::string key = service::scenario_hash_hex(spec);
-    benchmark::DoNotOptimize(cache.contains(key));
-  }
-}
-BENCHMARK(BM_CacheProbe);
-
 /// Submits `count` distinct-seed copies of the base spec into the spool
 /// under the given job-name prefix.
 void submit_jobs(const std::string& spool, const std::string& prefix,
@@ -168,6 +126,56 @@ void submit_jobs(const std::string& spool, const std::string& prefix,
   return text.str().find("\"state\": \"done\"") != std::string::npos &&
          text.str().find(std::string("\"cache\": \"") + cache + "\"") !=
              std::string::npos;
+}
+
+/// Every field of a run record except the host-dependent elapsed_seconds
+/// and threads_used, for comparing sharded runs across worker counts.
+[[nodiscard]] auto outcome_fields(const runner::TrialRunRecord& r) {
+  return std::tie(r.async, r.trials, r.completed, r.mean_completion,
+                  r.p90_completion, r.fault_trials, r.mean_surviving_recall,
+                  r.mean_ghost_entries, r.mean_rediscovery, r.recovered_links,
+                  r.rediscovered_links, r.adversary_trials,
+                  r.mean_precision_under_attack, r.mean_isolation,
+                  r.fake_entries, r.isolated_fakes, r.honest_isolated,
+                  r.encounter_trials, r.contacts, r.detected_contacts,
+                  r.mean_detection_latency, r.p90_detection_latency,
+                  r.mean_latency_fraction, r.mean_missed_fraction,
+                  r.mean_energy_per_detected);
+}
+
+/// Runs the base spec through service::run_sweep at every worker count up
+/// to `cap`, adding one table row per count. Each sweep point appends one
+/// run record to the process log; returns whether every count's records
+/// equal the workers=1 records (field for field, timing aside).
+[[nodiscard]] bool sharded_sweeps(std::size_t cap, util::Table& table) {
+  const service::SweepSpec spec = make_spec(3);
+  const std::size_t trials = spec.trials * spec.sweep_values.size();
+  std::vector<runner::TrialRunRecord> reference;
+  bool identical = true;
+  for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
+    if (workers > cap) continue;
+    const std::size_t logged = runner::trial_run_log().size();
+    service::SweepResult result;
+    std::string error;
+    const auto start = std::chrono::steady_clock::now();
+    if (!service::run_sweep(spec, workers, result, &error)) {
+      std::fprintf(stderr, "e23: run_sweep failed: %s\n", error.c_str());
+      return false;
+    }
+    const double elapsed = seconds_since(start);
+    const std::vector<runner::TrialRunRecord> log = runner::trial_run_log();
+    const std::vector<runner::TrialRunRecord> records(
+        log.begin() + static_cast<std::ptrdiff_t>(logged), log.end());
+    if (reference.empty()) reference = records;
+    identical = identical && records.size() == reference.size() &&
+                std::equal(records.begin(), records.end(), reference.begin(),
+                           [](const auto& a, const auto& b) {
+                             return outcome_fields(a) == outcome_fields(b);
+                           });
+    table.row().cell(workers).cell("sharded").cell(1.0 / elapsed, 1)
+        .cell(static_cast<double>(trials) / elapsed, 0).cell(elapsed, 3);
+  }
+  return identical && !reference.empty();
 }
 
 void reproduce_table() {
@@ -198,6 +206,7 @@ void reproduce_table() {
 
   util::Table table({"workers", "mode", "specs/sec", "trials/sec",
                      "elapsed s"});
+  const bool sharded_identical = sharded_sweeps(cap, table);
   bool all_ok = true;
 
   for (const std::size_t workers : {1u, 2u, 4u, 8u}) {
@@ -246,9 +255,15 @@ void reproduce_table() {
 
   std::printf("\n%s\n", table.render().c_str());
   runner::print_verdict(
+      sharded_identical,
+      "run_sweep's records at every worker count equal the workers=1 "
+      "records on every field but elapsed_seconds and threads");
+  runner::print_verdict(
       all_ok,
       "every cold job executed to done/miss and every warm resubmission "
       "was answered done/hit from the artifact cache");
+  std::error_code ignored;
+  std::filesystem::remove_all(root, ignored);
 }
 
 }  // namespace

@@ -11,8 +11,6 @@
 // CI smoke caps trials per cell with M2HEW_E24_TRIALS (e.g. 4); without
 // the env var the full tournament runs and regenerates
 // results/BENCH_e24_tournament.json.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -233,29 +231,6 @@ struct Quantiles {
   }
   return counted == 0 ? 0.0 : total / static_cast<double>(counted);
 }
-
-void BM_Competitor(benchmark::State& state) {
-  const Deployment dep = make_deployment(/*variable_sets=*/false, 1);
-  const char* name = kCompetitors[state.range(0)];
-  sim::SyncPolicyFactory factory;
-  if (std::string(name) == "mcdis") {
-    factory = core::make_mcdis();
-  } else if (std::string(name) == "rendezvous") {
-    factory = core::make_blind_rendezvous();
-  } else {
-    factory = core::make_consistent_hop();
-  }
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = kMaxSlots;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(dep.network, factory, engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-  state.SetLabel(name);
-}
-BENCHMARK(BM_Competitor)->Arg(0)->Arg(1)->Arg(2);
 
 struct Cell {
   std::string label;

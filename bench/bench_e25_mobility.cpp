@@ -11,8 +11,6 @@
 //
 // CI smoke caps trials per cell with M2HEW_E25_TRIALS (e.g. 4); without
 // the cap each of the 24 cells runs 20 trials.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -77,29 +75,6 @@ constexpr std::uint64_t kRootSeed = 60;
   mobility.duty_period = duty_period;
   return mobility;
 }
-
-/// Timed section: one full mobile run per iteration — measures the cost
-/// of the per-slot epoch pick plus the live-bit test per candidate arc on
-/// top of the classic engine (Arg = speed in hundredths of a unit/epoch;
-/// Arg(0) is the degenerate all-epochs-identical schedule).
-void BM_MobileEngine(benchmark::State& state) {
-  const double speed = static_cast<double>(state.range(0)) / 100.0;
-  const auto mobility = mobility_spec(speed, 500, 1, 1);
-  const auto provider =
-      runner::build_mobility_provider(deployment(), mobility, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = kEpochs * 500;
-    engine.seed = seed++;
-    engine.topology = provider.get();
-    engine.epoch_length = mobility.epoch_slots;
-    const auto result = sim::run_slot_engine(
-        provider->union_network(), core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_MobileEngine)->Arg(0)->Arg(10);
 
 void reproduce_table() {
   const std::size_t trials = trials_per_cell();

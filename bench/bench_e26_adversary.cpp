@@ -21,8 +21,6 @@
 //
 // CI smoke caps trials per row with M2HEW_E26_TRIALS (e.g. 4); without
 // the cap each row runs 20 trials.
-#include <benchmark/benchmark.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -92,45 +90,6 @@ constexpr std::uint64_t kRootSeed = 61;
   trust.entry_window = 2 * kMaxSlots;
   return trust;
 }
-
-/// Timed section: one fixed-budget run per iteration, Arg = adversary
-/// percent (0 = honest baseline; the delta is the per-slot cost of the
-/// role checks plus the Byzantine decode bookkeeping).
-void BM_AdversaryEngine(benchmark::State& state) {
-  const double fraction = static_cast<double>(state.range(0)) / 100.0;
-  const net::Network network = make_deployment(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = kMaxSlots;
-    engine.seed = seed++;
-    if (fraction > 0.0) {
-      engine.faults = adversary_plan(fraction, sim::AdversaryAttack::kMix);
-    }
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.slots_executed);
-  }
-}
-BENCHMARK(BM_AdversaryEngine)->Arg(0)->Arg(25);
-
-/// Timed section: the same Byzantine run with the trust wrapper attached —
-/// measures the admission-gate overhead on the decode path.
-void BM_TrustedEngine(benchmark::State& state) {
-  const net::Network network = make_deployment(1);
-  const auto factory =
-      core::with_trust(core::make_algorithm3(kDeltaEst), trust_config());
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = kMaxSlots;
-    engine.seed = seed++;
-    engine.faults = adversary_plan(0.25, sim::AdversaryAttack::kByzantine);
-    const auto result = sim::run_slot_engine(network, factory, engine);
-    benchmark::DoNotOptimize(result.slots_executed);
-  }
-}
-BENCHMARK(BM_TrustedEngine);
 
 struct Row {
   std::string label;

@@ -7,8 +7,6 @@
 //   (b) ablation: the paper's d ← d+1 schedule vs the geometric d ← 2d
 //       schedule rejected in §III-A2.
 //   (c) measured slots vs the theorem's O(M log M) budget.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 
 #include "bench_common.hpp"
@@ -35,21 +33,6 @@ constexpr double kEpsilon = 0.1;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_Alg2_Discover(benchmark::State& state) {
-  const auto n = static_cast<net::NodeId>(state.range(0));
-  const net::Network network = workload(n, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    const auto result =
-        sim::run_slot_engine(network, core::make_algorithm2(), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Alg2_Discover)->Arg(8)->Arg(16)->Arg(32);
 
 void reproduce_table() {
   runner::print_banner(

@@ -9,8 +9,6 @@
 //   (b) dependence on Δ_est: Alg 3 grows ~linearly in Δ_est while Alg 1
 //       grows ~log Δ_est — the trade the paper calls out ("the running
 //       time... depends linearly on the value of the upper bound").
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <vector>
 
@@ -56,22 +54,6 @@ void randomize_starts(const net::Network& network, std::uint64_t spread,
   // like with like.
   if (network.node_count() > 0) engine.starts[0] = spread;
 }
-
-void BM_Alg3_Discover(benchmark::State& state) {
-  const auto spread = static_cast<std::uint64_t>(state.range(0));
-  const net::Network network = workload(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 10'000'000;
-    engine.seed = seed++;
-    randomize_starts(network, spread, seed, engine);
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Alg3_Discover)->Arg(0)->Arg(64)->Arg(512);
 
 // Mean slots from T_s (the last start) to completion.
 [[nodiscard]] double mean_slots_after_ts(const net::Network& network,

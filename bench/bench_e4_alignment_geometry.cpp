@@ -6,8 +6,6 @@
 //
 // Reproduced series: violation rates of both lemmas as δ sweeps across
 // 0 … 0.45, sampled over random piecewise-drift clocks and offsets.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 
 #include <algorithm>
@@ -124,15 +122,6 @@ struct ViolationRates {
   return {static_cast<double>(lemma4_violations) / lemma4_checks,
           static_cast<double>(lemma7_violations) / lemma7_checks};
 }
-
-void BM_AlignmentGeometry(benchmark::State& state) {
-  const double delta = static_cast<double>(state.range(0)) / 100.0;
-  for (auto _ : state) {
-    const auto rates = measure(delta, 5);
-    benchmark::DoNotOptimize(rates.lemma4);
-  }
-}
-BENCHMARK(BM_AlignmentGeometry)->Arg(0)->Arg(14)->Arg(33);
 
 void reproduce_table() {
   runner::print_banner(

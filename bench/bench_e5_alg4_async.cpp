@@ -10,8 +10,6 @@
 //   (b) start-offset sweep: latency after T_s insensitive to offsets.
 //   (c) ablation: slots-per-frame ∈ {2, 3, 4, 5} — the paper's 3-slot
 //       frame is what Lemma 7 needs at δ = 1/7; more slots waste airtime.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <memory>
 
@@ -52,23 +50,6 @@ constexpr double kL = 3.0;
         seed);
   };
 }
-
-void BM_Alg4_Discover(benchmark::State& state) {
-  const double delta = static_cast<double>(state.range(0)) / 100.0;
-  const net::Network network = workload(1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::AsyncEngineConfig engine;
-    engine.frame_length = kL;
-    engine.max_real_time = 1e7;
-    engine.seed = seed++;
-    engine.clock_builder = drift_clock_builder(delta);
-    const auto result = sim::run_async_engine(
-        network, core::make_algorithm4(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_time);
-  }
-}
-BENCHMARK(BM_Alg4_Discover)->Arg(0)->Arg(14);
 
 void reproduce_table() {
   runner::print_banner(

@@ -5,8 +5,6 @@
 // Reproduced series: fix |A(u)| = 4 and sweep the universe size |U| from 4
 // to 256. The baseline's discovery time must grow ~linearly with |U| while
 // Algorithm 3's stays flat.
-#include <benchmark/benchmark.h>
-
 #include "bench_common.hpp"
 #include "core/algorithms.hpp"
 #include "runner/report.hpp"
@@ -50,21 +48,6 @@ constexpr std::size_t kDeltaEst = 8;
   }
   return net::Network(pool_net.topology(), std::move(embedded));
 }
-
-void BM_Baseline_Universe(benchmark::State& state) {
-  const auto universe = static_cast<net::ChannelId>(state.range(0));
-  const net::Network network = workload(universe, 1);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 50'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_universal_baseline(universe, 0.5), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Baseline_Universe)->Arg(8)->Arg(64);
 
 void reproduce_table() {
   runner::print_banner(

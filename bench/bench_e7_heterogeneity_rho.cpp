@@ -5,8 +5,6 @@
 // Reproduced series: the chain-overlap construction gives exact
 // ρ = k/S on a line; sweep k and verify mean discovery slots scale like
 // 1/ρ for Algorithms 1 and 3 (fit slots·ρ ≈ const).
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <vector>
 
@@ -38,21 +36,6 @@ constexpr std::size_t kDeltaEst = 32;
   config.chain_overlap = overlap;
   return runner::build_scenario(config, 7);
 }
-
-void BM_Alg3_Rho(benchmark::State& state) {
-  const auto overlap = static_cast<net::ChannelId>(state.range(0));
-  const net::Network network = workload(overlap);
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = 50'000'000;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.completion_slot);
-  }
-}
-BENCHMARK(BM_Alg3_Rho)->Arg(8)->Arg(2)->Arg(1);
 
 void reproduce_table() {
   runner::print_banner(

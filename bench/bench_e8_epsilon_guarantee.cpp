@@ -5,8 +5,6 @@
 // Reproduced series: ε ∈ {0.5, 0.2, 0.1, 0.05} × {Alg 1, Alg 3, Alg 4};
 // report empirical failure rates with Wilson 95% intervals and check the
 // interval's lower end does not exceed ε.
-#include <benchmark/benchmark.h>
-
 #include <cmath>
 #include <memory>
 
@@ -34,24 +32,6 @@ constexpr std::size_t kDeltaEst = 8;
   config.set_size = 4;
   return runner::build_scenario(config, seed);
 }
-
-void BM_EpsilonBudgetRun(benchmark::State& state) {
-  const net::Network network = workload(1);
-  const double epsilon = 0.1;
-  const auto budget = static_cast<std::uint64_t>(std::ceil(
-      core::theorem3_slot_bound(
-          benchx::bound_params(network, kDeltaEst, epsilon))));
-  std::uint64_t seed = 1;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = budget;
-    engine.seed = seed++;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm3(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.complete);
-  }
-}
-BENCHMARK(BM_EpsilonBudgetRun);
 
 void reproduce_table() {
   runner::print_banner(

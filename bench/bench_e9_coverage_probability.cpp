@@ -5,8 +5,6 @@
 //              rho/(8 max(2S, 3Δ_est))
 // plus the ablation DESIGN.md calls out: removing the min(1/2, ·) cap on
 // the transmission probability destroys coverage in dense neighborhoods.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -81,21 +79,6 @@ class UncappedPolicy final : public sim::SyncPolicy {
   }
   return static_cast<double>(covered) / static_cast<double>(trials);
 }
-
-void BM_SingleStage(benchmark::State& state) {
-  const net::Network network = workload(1);
-  std::uint64_t seed = 0;
-  for (auto _ : state) {
-    sim::SlotEngineConfig engine;
-    engine.max_slots = core::stage_length(kDeltaEst);
-    engine.seed = seed++;
-    engine.stop_when_complete = false;
-    const auto result = sim::run_slot_engine(
-        network, core::make_algorithm1(kDeltaEst), engine);
-    benchmark::DoNotOptimize(result.state.covered_links());
-  }
-}
-BENCHMARK(BM_SingleStage);
 
 void reproduce_table() {
   runner::print_banner(
