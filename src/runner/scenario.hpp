@@ -127,12 +127,12 @@ build_mobility_provider(const ScenarioConfig& config,
 
 enum class SyncKernel;  // runner/trials.hpp
 
-/// Same again for slotted runs, additionally naming the execution knobs:
-/// the sync inner loop when it is not the default (`kernel=soa`) and, when
+/// Same again for slotted runs, additionally echoing the execution knobs:
+/// the `kernel` knob when it is not the default (`kernel=soa`) and, when
 /// nonzero, the process-worker fan-out of a daemon-sharded run
 /// (`workers=K`). Neither knob changes results — both are pinned
-/// bit-identical by the equivalence suites — but a report line should say
-/// which machinery produced it.
+/// bit-identical by the equivalence suites — but a report line should
+/// repeat what its run was given.
 [[nodiscard]] std::string describe(
     const ScenarioConfig& config,
     const sim::EngineCommon<std::uint64_t>& engine, SyncKernel kernel,

@@ -314,9 +314,6 @@ SyncTrialStats run_sync_trials(const net::Network& network,
 SyncTrialStats run_sync_trials(const net::Network& network,
                                const core::SyncPolicySpec& spec,
                                const SyncTrialConfig& config) {
-  if (config.kernel == SyncKernel::kEngine) {
-    return run_sync_trials(network, core::make_policy_factory(spec), config);
-  }
   const auto start = Clock::now();
   const sim::SoaPolicyTable table = core::build_soa_policy_table(network, spec);
 
@@ -337,9 +334,7 @@ SyncTrialStats run_sync_trials(const net::Network& network,
             idle_kernels.pop_back();
           }
         }
-        if (kernel == nullptr) {
-          kernel = std::make_unique<sim::SoaSlotKernel>(network);
-        }
+        if (!kernel) kernel = std::make_unique<sim::SoaSlotKernel>(network);
         TrialOutcome outcome = run_slotted_trial(
             engine, config.encounters,
             [&](const sim::SlotEngineConfig& cfg) {

@@ -231,18 +231,14 @@ struct TrialConfig {
   std::size_t threads = 0;
 };
 
-/// Which synchronous inner loop executes each trial. Both produce
-/// bit-identical aggregates (the SoA==engine equivalence suite pins the
-/// per-trial results); kSoa is the large-N path.
-enum class SyncKernel {
-  kEngine,  ///< run_slot_engine: virtual policies, DiscoveryState matrix
-  kSoa,     ///< sim::SoaSlotKernel: flat arrays, CSR coverage
-};
+/// The `kernel` knob of specs and the CLI. It is accepted and echoed but
+/// no longer picks the loop: the policy does (a SyncPolicySpec runs on
+/// sim::SoaSlotKernel, policy objects on run_slot_engine), and the
+/// engine==soa equivalence suite pins both loops to identical results.
+enum class SyncKernel { kEngine, kSoa };
 
 struct SyncTrialConfig : TrialConfig<sim::SlotEngineConfig> {
-  /// Inner loop selection; honored only by the SyncPolicySpec overload
-  /// (the factory overload has no data representation to hand the SoA
-  /// kernel and always runs the classic engine).
+  /// Echo of the `kernel` knob; neither overload reads it.
   SyncKernel kernel = SyncKernel::kEngine;
   /// Optional contact schedule (caller-owned, must outlive the run): when
   /// set, every trial tracks per-contact detection through the engine's
@@ -255,9 +251,10 @@ struct SyncTrialConfig : TrialConfig<sim::SlotEngineConfig> {
     const net::Network& network, const sim::SyncPolicyFactory& factory,
     const SyncTrialConfig& config);
 
-/// Spec-driven synchronous trials: dispatches on `config.kernel`, running
-/// either the classic slot engine (via the spec's policy factory) or the
-/// SoA kernel (via the spec's policy table). Identical stats either way.
+/// Spec-driven synchronous trials, always on the SoA kernel with the
+/// spec's policy table. The stats equal the factory overload's with
+/// core::make_policy_factory(spec), which is how a caller (a test's
+/// reference side, say) runs the spec's policy objects instead.
 [[nodiscard]] SyncTrialStats run_sync_trials(const net::Network& network,
                                              const core::SyncPolicySpec& spec,
                                              const SyncTrialConfig& config);

@@ -31,8 +31,10 @@ using runner::format_sweep_value;
 using runner::parse_sweep_spec;
 using SweepSpec = runner::SweepSpec;
 
-/// The simulator build identity folded into every cache key: the
-/// git-describe string baked in at configure time. The environment
+/// The simulator build identity folded into every cache key: the value of
+/// M2HEW_GIT_DESCRIBE baked in at configure time, `src-` plus 16 hex
+/// digits of a hash of every file under src/ (a build may define its own
+/// value, as perfbench's does). The environment
 /// variable M2HEW_BINARY_VERSION overrides it when set — a test hook for
 /// exercising cache invalidation without rebuilding.
 [[nodiscard]] std::string binary_version();

@@ -251,7 +251,6 @@ TEST(MobileTrials, SerialMatchesParallelUnderSoa) {
 
   runner::SyncTrialConfig config =
       mobile_trial_config(*provider, index, mobility.epoch_slots);
-  config.kernel = runner::SyncKernel::kSoa;
   const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
 
   config.threads = 1;
@@ -288,10 +287,8 @@ TEST(MobileTrials, EngineAndSoaKernelsAggregateIdentically) {
       mobile_trial_config(*provider, index, mobility.epoch_slots);
   const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm2();
 
-  config.kernel = runner::SyncKernel::kEngine;
-  const auto engine =
-      runner::run_sync_trials(provider->union_network(), spec, config);
-  config.kernel = runner::SyncKernel::kSoa;
+  const auto engine = runner::run_sync_trials(
+      provider->union_network(), core::make_policy_factory(spec), config);
   const auto soa =
       runner::run_sync_trials(provider->union_network(), spec, config);
   expect_same_mobile_stats(engine, soa);

@@ -498,9 +498,10 @@ void expect_same_stats(const runner::SyncTrialStats& a,
   EXPECT_EQ(a.robustness.rediscovered_links, b.robustness.rediscovered_links);
 }
 
-// The runner's kernel switch: the spec overload must aggregate identically
-// under --kernel=engine and --kernel=soa, and — like every trial runner —
-// identically at any worker count.
+// The runner's two slotted loops: the spec overload (policy table on the
+// SoA kernel) must aggregate identically to the factory overload running
+// the spec's policy objects, and — like every trial runner — identically
+// at any worker count.
 TEST(SoaKernelTrials, EngineAndSoaAggregatesMatch) {
   util::Rng rng(11);
   const net::Network network = random_network(10, 14, rng);
@@ -515,9 +516,8 @@ TEST(SoaKernelTrials, EngineAndSoaAggregatesMatch) {
       config.engine.faults.burst_loss.enabled ? 0.0 : 0.1;
   const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm1(12);
 
-  config.kernel = runner::SyncKernel::kEngine;
-  const auto engine_stats = runner::run_sync_trials(network, spec, config);
-  config.kernel = runner::SyncKernel::kSoa;
+  const auto engine_stats = runner::run_sync_trials(
+      network, core::make_policy_factory(spec), config);
   const auto soa_stats = runner::run_sync_trials(network, spec, config);
   expect_same_stats(engine_stats, soa_stats);
 }
@@ -533,7 +533,6 @@ TEST(SoaKernelTrials, SerialMatchesParallelUnderSoa) {
   config.engine.faults = make_fault_plan(12, 16, 500.0);
   config.engine.loss_probability =
       config.engine.faults.burst_loss.enabled ? 0.0 : 0.15;
-  config.kernel = runner::SyncKernel::kSoa;
   config.per_trial = [](std::size_t t, sim::SlotEngineConfig& engine) {
     engine.starts.assign(16, 0);
     for (std::size_t u = 0; u < engine.starts.size(); ++u) {
@@ -719,7 +718,6 @@ struct ScaleRun {
   config.trials = kTrials;
   config.seed = 23 + soak_offset();
   config.threads = threads;
-  config.kernel = kernel;
   config.engine = scale_config(0);
   config.per_trial = [&](std::size_t t, sim::SlotEngineConfig& engine) {
     std::vector<double>* first = &run.first[t];
@@ -730,8 +728,11 @@ struct ScaleRun {
       if (cell < 0.0) cell = static_cast<double>(slot);
     };
   };
-  run.stats = runner::run_sync_trials(
-      network, core::SyncPolicySpec::algorithm3(8), config);
+  const core::SyncPolicySpec spec = core::SyncPolicySpec::algorithm3(8);
+  run.stats = kernel == runner::SyncKernel::kSoa
+                  ? runner::run_sync_trials(network, spec, config)
+                  : runner::run_sync_trials(
+                        network, core::make_policy_factory(spec), config);
   return run;
 }
 

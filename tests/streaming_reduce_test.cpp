@@ -252,20 +252,22 @@ void expect_reduce_matches_run_sync_trials(SyncKernel kernel_choice) {
   config.trials = 12;
   config.seed = 29;
   config.threads = 2;
-  config.kernel = kernel_choice;
   config.engine.max_slots = 4000;
   config.engine.faults.churn = {0.4, 50, 2000, 50, 500, true};
   config.engine.faults.burst_loss = {true, 0.05, 0.2, 0.02, 0.8};
   config.engine.faults.adversary.fraction = 0.2;
   config.engine.faults.adversary.attack = sim::AdversaryAttack::kMix;
   config.engine.faults.adversary.byzantine_tx = 0.6;
-  const SyncTrialStats batch = run_sync_trials(network, spec, config);
+  const sim::SyncPolicyFactory factory = core::make_policy_factory(spec);
+  const bool soa = kernel_choice == SyncKernel::kSoa;
+  const SyncTrialStats batch = soa
+                                   ? run_sync_trials(network, spec, config)
+                                   : run_sync_trials(network, factory, config);
   ASSERT_GT(batch.completed, 0u);
   ASSERT_GT(batch.robustness.rediscovery_times.count(), 0u);
   ASSERT_TRUE(batch.robustness.adversarial());
 
   const util::SeedSequence seeds(config.seed);
-  const sim::SyncPolicyFactory factory = core::make_policy_factory(spec);
   const sim::SoaPolicyTable table =
       core::build_soa_policy_table(network, spec);
   sim::SoaSlotKernel kernel(network);
@@ -274,8 +276,7 @@ void expect_reduce_matches_run_sync_trials(SyncKernel kernel_choice) {
     sim::SlotEngineConfig engine = config.engine;
     engine.seed = seeds.derive(t);
     outcomes.push_back(
-        config.kernel == SyncKernel::kSoa
-            ? slotted_outcome(kernel.run(table, engine))
+        soa ? slotted_outcome(kernel.run(table, engine))
             : slotted_outcome(sim::run_slot_engine(network, factory, engine)));
   }
   expect_same_aggregate(reduce_sync_trials(outcomes, 0.0, 1), batch);
